@@ -8,8 +8,7 @@ topology file.
 
 import argparse
 
-from clustersmith.parallelism import (ParallelLevel, Strategy,
-                                      build_time_matrix, select_level)
+from clustersmith.parallelism import ParallelLevel, Strategy, build_time_matrix
 from clustersmith.topology import load_preset, load_topology
 
 
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
                                  matrix.row_totals):
         cells = "  ".join(f"{v:8.4f}" for v in row)
         print(f"{level.name:>8}  {cells}  {total:8.4f}")
-    winner, total = select_level(levels, graph)
+    winner, total = matrix.winner()
     print(f"selected {winner.name} ({total:.4f} s)")
     return 0
 

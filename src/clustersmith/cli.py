@@ -147,7 +147,7 @@ def cmd_plan(args) -> int:
     if not levels:
         raise ClusterError("no levels in levels file")
     matrix = parallelism.build_time_matrix(levels, g)
-    winner, total = parallelism.select_level(levels, g)
+    winner, total = matrix.winner()
     print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
           f"{total!r} s total")
     if args.matrix:

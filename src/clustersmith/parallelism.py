@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -120,22 +119,17 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
     """Per-phase seconds for one level on a topology (sum = level total)."""
     _check_server_kind(level, g)
     traffic = traffic_for_level(level)
-    path_cache = {}
-
-    def path_for(src, dst):
-        key = (src, dst)
-        if key not in path_cache:
-            path_cache[key] = resolve_path(g, src, dst)
-        return path_cache[key]
-
     window_cap = (
         _window_cap_bytes_per_s(level)
         if level.strategy == Strategy.IN_NETWORK_AGGREGATION
         else None
     )
-    times = []
+    # traffic_for_level repeats one phase tuple many times; price it once
+    phase_times = {}  # id(phase) -> seconds
     for phase in traffic.phases:
-        routed = [(flow, path_for(flow.src, flow.dst)) for flow in phase]
+        if id(phase) in phase_times:
+            continue
+        routed = [(flow, resolve_path(g, flow.src, flow.dst)) for flow in phase]
         # concurrency per link; duplex links contend per direction
         share = {}
         for _, path in routed:
@@ -152,8 +146,8 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
             if window_cap is not None:
                 t = max(t, flow.bytes / window_cap)
             phase_time = max(phase_time, t)
-        times.append(phase_time)
-    return times
+        phase_times[id(phase)] = phase_time
+    return [phase_times[id(phase)] for phase in traffic.phases]
 
 
 @dataclass(frozen=True)
@@ -166,6 +160,13 @@ class TimeMatrix:
     def __post_init__(self):
         object.__setattr__(self, "row_totals",
                            tuple(sum(row) for row in self.entries))
+
+    def winner(self) -> tuple[ParallelLevel, float]:
+        """Cheapest level by total communication time; ties prefer smaller
+        n, then declaration order."""
+        i = min(range(len(self.levels)),
+                key=lambda i: (self.row_totals[i], self.levels[i].n, i))
+        return self.levels[i], self.row_totals[i]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -200,15 +201,5 @@ def build_time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
 
 
 def select_level(levels, g: TopologyGraph):
-    """Cheapest level by total communication time; ties prefer smaller n,
-    then declaration order."""
-    levels = tuple(levels)
-    if not levels:
-        raise TooFewParticipants("need at least one level")
-    best = None
-    for idx, lv in enumerate(levels):
-        total = sum(comm_time(lv, g))
-        key = (total, lv.n, idx)
-        if best is None or key < best[0]:
-            best = (key, lv, total)
-    return best[1], best[2]
+    """Cheapest level and its total, as picked by `TimeMatrix.winner`."""
+    return build_time_matrix(levels, g).winner()

@@ -59,7 +59,9 @@ def tiered_price(base: float, markups) -> float:
     if base < 0:
         raise ValueError("base must be >= 0")
     price = base
-    for m in markups:
+    # one fixed order, so the rounded product does not depend on the order
+    # the markups are listed in
+    for m in sorted(markups):
         if m <= -1:
             raise ValueError("markup must be > -1")
         price *= 1.0 + m

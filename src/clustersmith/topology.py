@@ -14,8 +14,10 @@ File format (UTF-8, line oriented, ``#`` starts a comment)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -87,8 +89,8 @@ class TopologyGraph:
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     gdr: bool = False
-    # index and adjacency are derived; excluded from equality so that a
-    # reloaded graph compares equal on declarations alone.
+    # index, adjacency and routing (below) are derived; excluded from
+    # equality so that a reloaded graph compares equal on declarations alone.
     index: dict = field(default_factory=dict, compare=False, repr=False)
     adjacency: np.ndarray = field(default=None, compare=False, repr=False)
 
@@ -100,6 +102,14 @@ class TopologyGraph:
     def incident(self, node_id: str) -> list[Link]:
         self.node(node_id)
         return [l for l in self.links if node_id in (l.endpoint_a, l.endpoint_b)]
+
+    @cached_property
+    def routing(self):
+        """The graph's `commcost.RoutingIndex`, built on first use.  Graphs
+        are immutable, so it is never invalidated."""
+        from .commcost import RoutingIndex  # commcost imports this module
+
+        return RoutingIndex(self)
 
 
 def build_graph(nodes, links, gdr=False) -> TopologyGraph:
@@ -121,6 +131,13 @@ def build_graph(nodes, links, gdr=False) -> TopologyGraph:
             raise ValidationError(f"self-link on {l.endpoint_a!r} rejected")
         if not isinstance(l.kind, LinkKind):
             raise ValidationError(f"unknown link kind {l.kind!r}")
+        for what, value in (("bw", l.bandwidth), ("lat", l.latency),
+                            ("b", l.extra_overhead_b)):
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"link {l.endpoint_a}-{l.endpoint_b}: {what} must be finite, "
+                    f"got {value!r}"
+                )
         if l.bandwidth <= 0:
             raise ValidationError(
                 f"link {l.endpoint_a}-{l.endpoint_b}: bandwidth must be > 0"

@@ -92,8 +92,39 @@ def enumerate_simple_paths(g: TopologyGraph, src: str, dst: str):
 
 
 def best_path_by_enumeration(g: TopologyGraph, src: str, dst: str):
-    """Widest / fewest-hops / lexicographic best simple path, or None."""
-    paths = enumerate_simple_paths(g, src, dst)
+    """Widest / fewest-hops / lexicographic best route as (node sequence,
+    link sequence), or None.
+
+    Enumerates simple paths in the (node, mem_seen) state graph, so a
+    route may visit a node twice: out to host memory and back.  mem_seen
+    starts false only for GPU<->NIC/DPU transfers with GDR off; the route
+    ends at (dst, true).
+    """
+    kinds = {g.node(src).kind, g.node(dst).kind}
+    constrained = (not g.gdr and NodeKind.GPU in kinds
+                   and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
+    is_mem = {n.id: n.kind == NodeKind.HOST_MEMORY for n in g.nodes}
+    adj = {node.id: [] for node in g.nodes}
+    for l in g.links:
+        adj[l.endpoint_a].append((l.endpoint_b, l))
+        adj[l.endpoint_b].append((l.endpoint_a, l))
+    goal = (dst, True)
+    paths = []
+
+    def walk(state, seq, links, seen):
+        if state == goal:
+            paths.append((tuple(seq), tuple(links)))
+            return
+        node, mem_seen = state
+        for nxt, link in adj[node]:
+            nstate = (nxt, mem_seen or is_mem[nxt])
+            if nstate not in seen:
+                seen.add(nstate)
+                walk(nstate, seq + [nxt], links + [link], seen)
+                seen.remove(nstate)
+
+    start = (src, not constrained)
+    walk(start, [src], [], {start})
     if not paths:
         return None
     return min(

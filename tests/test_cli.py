@@ -1,10 +1,13 @@
 import csv
 import os
+from collections import Counter
 from importlib import resources
 
 import pytest
 
+from clustersmith import parallelism
 from clustersmith.cli import main
+from clustersmith.commcost import RoutingIndex
 
 PRESETS = resources.files("clustersmith.presets")
 
@@ -39,6 +42,23 @@ def test_topo_validate_broken(capsys, tmp_path):
     code, _, err = run(capsys, "topo", "validate", str(p))
     assert code == 2
     assert "gpu9" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["bw", "lat", "b"])
+def test_non_finite_link_numbers_rejected(capsys, tmp_path, key, value):
+    numbers = {"bw": "40", "lat": "1", "b": "0.5", key: value}
+    p = tmp_path / "bad.topo"
+    p.write_text("node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=NvLink "
+                 + " ".join(f"{k}={v}" for k, v in numbers.items()) + "\n")
+    code, _, err = run(capsys, "topo", "validate", str(p))
+    assert code == 2
+    assert f"invalid: link a-b: {key} must be finite" in err
+    levels = tmp_path / "levels.txt"
+    levels.write_text("level r strategy=ring_allreduce participants=a,b payload=1e9\n")
+    code, _, err = run(capsys, "plan", "--topo", str(p), "--levels", str(levels))
+    assert code == 2
+    assert "must be finite" in err and "no route" not in err
 
 
 def test_topo_missing_file_is_io_error(capsys):
@@ -90,6 +110,46 @@ def test_plan_single_level(capsys, tmp_path, nvlink4_path):
                        "--levels", str(levels))
     assert code == 0
     assert "selected only" in out
+
+
+DUAL_SOCKET_LEVELS = """
+level r4 strategy=ring_allreduce participants=gpu0,gpu1,gpu2,gpu3 payload=10e9
+level r2 strategy=ring_allreduce participants=gpu0,gpu1 payload=10e9
+level ps strategy=parameter_server participants=gpu0,gpu1,gpu2,gpu3 server=nic0 payload=1e9
+level ps_cpu strategy=parameter_server participants=gpu0,gpu1 server=cpu1 payload=1e9
+level pipe strategy=pipeline_p2p participants=gpu0,gpu1,gpu2 payload=0 microbatches=4 activation=1e8
+"""
+
+
+def test_plan_evaluates_each_level_and_source_once(capsys, tmp_path, monkeypatch):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(DUAL_SOCKET_LEVELS)
+    topo = tmp_path / "dual.topo"
+    topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
+    level_calls = Counter()
+    passes = Counter()
+    comm_time = parallelism.comm_time
+    widest_from = RoutingIndex._widest_from
+
+    def counting_comm_time(level, g):
+        level_calls[level.name] += 1
+        return comm_time(level, g)
+
+    def counting_widest_from(self, source, flag):
+        passes[(id(self), source, flag)] += 1
+        return widest_from(self, source, flag)
+
+    monkeypatch.setattr(parallelism, "comm_time", counting_comm_time)
+    monkeypatch.setattr(RoutingIndex, "_widest_from", counting_widest_from)
+    code, out, _ = run(capsys, "plan", "--topo", str(topo),
+                       "--levels", str(levels), "--json", str(tmp_path / "m.json"))
+    assert code == 0 and out.startswith("selected ")
+    assert level_calls == {name: 1 for name in ("r4", "r2", "ps", "ps_cpu", "pipe")}
+    # one routing index for the command; the GDR-off NIC server needs
+    # passes with mem_seen both 0 and 1
+    assert len({key[0] for key in passes}) == 1
+    assert {flag for _, _, flag in passes} == {0, 1}
+    assert set(passes.values()) == {1}
 
 
 FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=10e9\n"

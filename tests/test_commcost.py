@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,18 @@ def test_direct_link_is_single_hop():
     assert p.bottleneck_bandwidth == 40.0
 
 
+def test_parallel_links_pick_widest_then_least_overhead():
+    g = load_topology("node a kind=Gpu\nnode b kind=Gpu\n"
+                      "link a b kind=NvLink bw=40 lat=3\n"
+                      "link a b kind=NvLink bw=40 lat=1 b=1\n"
+                      "link a b kind=NvLink bw=40 lat=2\n"
+                      "link a b kind=Pcie bw=16\n")
+    p = resolve_path(g, "b", "a")
+    # widest, then least latency + b (2 us), then the first declared
+    assert p.links == (g.links[1],)
+    assert (p.bottleneck_bandwidth, p.total_latency, p.total_b) == (40.0, 1.0, 1.0)
+
+
 def test_gdr_off_forces_host_memory():
     g = load_topology(GDR_FIXTURE)
     p = resolve_path(g, "gpu", "nic")
@@ -153,31 +167,46 @@ def test_socket_direct_beats_upi_detour():
 
 def test_resolve_matches_enumeration_on_random_graphs():
     rng = random.Random(23)
-    checked = 0
-    for _ in range(120):
+    checked = constrained = detours = unreachable = 0
+    for _ in range(200):
         g = random_graph(rng, max_nodes=8)
-        if len(g.nodes) < 2:
-            continue
         ids = [n.id for n in g.nodes]
-        src, dst = rng.sample(ids, 2)
-        kinds = {g.node(src).kind, g.node(dst).kind}
-        constrained = (not g.gdr and NodeKind.GPU in kinds
-                       and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
-        if constrained:
-            continue  # oracle covers the unconstrained criterion
-        expect = best_path_by_enumeration(g, src, dst)
-        if expect is None:
-            with pytest.raises(Unreachable):
-                resolve_path(g, src, dst)
-            continue
-        got = resolve_path(g, src, dst)
-        exp_nodes, exp_links = expect
-        assert got.bottleneck_bandwidth == pytest.approx(
-            min(l.bandwidth for l in exp_links))
-        assert got.hops == len(exp_links)
-        assert got.nodes == exp_nodes
-        checked += 1
-    assert checked > 40
+        for src in ids:
+            for dst in ids:
+                if src == dst:
+                    continue
+                kinds = {g.node(src).kind, g.node(dst).kind}
+                constrained += (not g.gdr and NodeKind.GPU in kinds
+                                and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
+                expect = best_path_by_enumeration(g, src, dst)
+                if expect is None:
+                    with pytest.raises(Unreachable):
+                        resolve_path(g, src, dst)
+                    unreachable += 1
+                    continue
+                got = resolve_path(g, src, dst)
+                exp_nodes, exp_links = expect
+                assert got.nodes == exp_nodes
+                assert got.links == exp_links
+                assert got.bottleneck_bandwidth == min(l.bandwidth for l in exp_links)
+                checked += 1
+                detours += len(set(exp_nodes)) < len(exp_nodes)
+    assert checked > 3000 and unreachable > 30
+    assert constrained > 30 and detours > 15
+
+
+def test_routed_graph_is_freed_by_reference_counting():
+    # the routing index lives on the graph; a reference back would make a
+    # cycle that keeps every routed graph alive until a full collection
+    g = load_topology(GDR_FIXTURE)
+    resolve_path(g, "gpu", "nic")
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gdr_off_always_stages_in_memory_random():
