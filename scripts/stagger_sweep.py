@@ -10,8 +10,8 @@ import argparse
 import csv
 import sys
 
-from clustersmith.contention import (Flow, Objective, SwitchModel,
-                                     optimize_stagger, simulate, with_offsets)
+from clustersmith.contention import (Flow, SwitchModel, optimize_stagger,
+                                     simulate, with_offsets)
 
 
 def main(argv=None) -> int:
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     for n in range(1, args.max_flows + 1):
         flows = [Flow(id=f"f{i}", bytes=args.bytes) for i in range(n)]
         naive = simulate(flows, sw)
-        offsets = optimize_stagger(flows, sw, Objective.MEAN_COMPLETION)
+        offsets = optimize_stagger(flows, sw)
         staggered = simulate(with_offsets(flows, offsets), sw)
         writer.writerow([n, f"{naive.mean_completion:.6f}",
                          f"{staggered.mean_completion:.6f}",

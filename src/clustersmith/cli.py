@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import commcost, contention, gnn, parallelism, pricing, topology
-from .errors import ClusterError, ParseError
+from .errors import ClusterError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -79,33 +79,41 @@ def load_levels(text: str) -> list[parallelism.ParallelLevel]:
         if "participants" not in kv or "payload" not in kv:
             raise ParseError("level needs participants= and payload=", line_no, 1)
         kwargs = {}
-        for key, attr, conv in (("server", "server", str),
-                                ("window", "window_packets", int),
-                                ("pkt", "packet_bytes", int),
-                                ("rtt", "rtt_us", float),
-                                ("microbatches", "microbatches", int),
-                                ("activation", "activation_bytes", float)):
-            if key in kv:
-                kwargs[attr] = conv(kv.pop(key))
-        participants = tuple(p for p in kv.pop("participants").split(",") if p)
-        payload = float(kv.pop("payload"))
-        if kv:
-            raise ParseError(f"unknown level keys {sorted(kv)}", line_no, 1)
-        levels.append(parallelism.ParallelLevel(
-            name=tokens[1], strategy=strategy, participants=participants,
-            payload_bytes=payload, **kwargs))
+        try:
+            for key, attr, conv in (("server", "server", str),
+                                    ("window", "window_packets", int),
+                                    ("pkt", "packet_bytes", int),
+                                    ("rtt", "rtt_us", float),
+                                    ("microbatches", "microbatches", int),
+                                    ("activation", "activation_bytes", float)):
+                if key in kv:
+                    kwargs[attr] = conv(kv.pop(key))
+            participants = tuple(p for p in kv.pop("participants").split(",")
+                                 if p)
+            payload = float(kv.pop("payload"))
+            if kv:
+                raise ParseError(f"unknown level keys {sorted(kv)}", line_no, 1)
+            levels.append(parallelism.ParallelLevel(
+                name=tokens[1], strategy=strategy, participants=participants,
+                payload_bytes=payload, **kwargs))
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(str(exc), line_no, 1) from None
     return levels
 
 
 def load_flows(text: str) -> list[contention.Flow]:
     """`flow <id> bytes=<n> [release=<s>] [offset=<s>]`"""
     flows = []
+    ids = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         if tokens[0] != "flow" or len(tokens) < 3:
             raise ParseError("expected `flow <id> bytes=<n> ...`", line_no, 1)
+        if tokens[1] in ids:
+            raise ParseError(f"repeated flow id {tokens[1]!r}", line_no, 1)
+        ids.add(tokens[1])
         kv = _kv_tokens(tokens[2:], line_no)
         try:
             flows.append(contention.Flow(
@@ -113,7 +121,7 @@ def load_flows(text: str) -> list[contention.Flow]:
                 bytes=float(kv.pop("bytes")),
                 release=float(kv.pop("release", 0.0)),
                 offset=float(kv.pop("offset", 0.0))))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ValidationError) as exc:
             raise ParseError(str(exc), line_no, 1) from None
         if kv:
             raise ParseError(f"unknown flow keys {sorted(kv)}", line_no, 1)
@@ -161,14 +169,10 @@ def cmd_stagger(args) -> int:
     flows = load_flows(_read(args.flows))
     if not flows:
         raise ClusterError("no flows in flows file")
-    sw = contention.SwitchModel(upstream_bandwidth=args.upstream,
-                                per_flow_cap=args.cap or args.upstream,
-                                cpu_event_cost=args.cpu_event_cost)
-    objective = {"mean": contention.Objective.MEAN_COMPLETION,
-                 "peak": contention.Objective.PEAK_CONCURRENCY,
-                 "makespan": contention.Objective.MAKESPAN_WITH_CPU_COST}[args.objective]
+    sw = contention.SwitchModel(
+        args.upstream, args.upstream if args.cap is None else args.cap)
     naive = contention.simulate(flows, sw)
-    offsets = contention.optimize_stagger(flows, sw, objective)
+    offsets = contention.optimize_stagger(flows, sw)
     staggered = contention.simulate(contention.with_offsets(flows, offsets), sw)
     for f in flows:
         print(f"offset {f.id} {offsets[f.id]!r}")
@@ -274,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upstream", type=float, required=True, help="GB/s")
     p.add_argument("--cap", type=float, help="per-flow cap GB/s "
                    "(default: upstream)")
-    p.add_argument("--objective", choices=["mean", "peak", "makespan"],
-                   default="mean")
-    p.add_argument("--cpu-event-cost", type=float, default=0.0)
     p.add_argument("--events", help="write the staggered event log CSV here")
     p.set_defaults(func=cmd_stagger)
 

@@ -3,19 +3,28 @@ upstream link, plus the stagger-interval optimizer.
 
 The simulator is rate-based: between events every active flow receives
 min(per_flow_cap, upstream/k) where k is the number of active flows
-(max-min fair with identical caps).  Events are flow starts and
-completions; rates are recomputed at each event, so results are exact
-piecewise-linear arithmetic, not time-stepped.
+(max-min fair with identical caps).  Because all active flows share one
+rate, a single virtual-time counter, `served` (the bytes each active flow
+has received), prices all of them, as in GPS / fair queueing.  A flow that
+starts at served = s with B bytes finishes when served reaches s + B, so a
+heap of these marks and the start-sorted flows give exactly one start and
+one finish event per flow, with no residue threshold.  The counter restarts
+at 0 whenever the switch goes idle, so a flow that starts alone finishes
+exactly B / rate after its start: the instant the stagger optimizer plans
+for, which is why staggered starts never precede their predecessor's
+finish.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .commcost import GB
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -26,10 +35,13 @@ class Flow:
     offset: float = 0.0   # seconds of added stagger
 
     def __post_init__(self):
-        if self.bytes <= 0:
-            raise ValueError(f"flow {self.id!r}: bytes must be > 0")
-        if self.release < 0 or self.offset < 0:
-            raise ValueError(f"flow {self.id!r}: release/offset must be >= 0")
+        if not (math.isfinite(self.bytes) and self.bytes > 0):
+            raise ValidationError(
+                f"flow {self.id!r}: bytes must be finite and > 0")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.release, self.offset)):
+            raise ValidationError(
+                f"flow {self.id!r}: release/offset must be finite and >= 0")
 
     @property
     def start(self) -> float:
@@ -43,8 +55,12 @@ class SwitchModel:
     cpu_event_cost: float = 0.0  # seconds charged per reallocation event
 
     def __post_init__(self):
-        if self.upstream_bandwidth <= 0 or self.per_flow_cap <= 0:
-            raise ValueError("bandwidths must be > 0")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.upstream_bandwidth, self.per_flow_cap)):
+            raise ValidationError("bandwidths must be finite and > 0")
+        if not (math.isfinite(self.cpu_event_cost)
+                and self.cpu_event_cost >= 0):
+            raise ValidationError("cpu_event_cost must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,12 +82,6 @@ class SimResult:
     events: tuple[EventRecord, ...]
 
 
-class Objective(str, Enum):
-    MEAN_COMPLETION = "mean"
-    PEAK_CONCURRENCY = "peak"
-    MAKESPAN_WITH_CPU_COST = "makespan"
-
-
 def _rate(sw: SwitchModel, active: int) -> float:
     # identical caps make max-min fairness collapse to min(cap, fair share)
     return min(sw.per_flow_cap, sw.upstream_bandwidth / active) if active else 0.0
@@ -79,84 +89,69 @@ def _rate(sw: SwitchModel, active: int) -> float:
 
 def simulate(flows, sw: SwitchModel) -> SimResult:
     """Run all flows to completion; deterministic for identical inputs."""
-    flows = list(flows)
-    if not flows:
-        return SimResult(completions={}, makespan=0.0, mean_completion=0.0,
-                         peak_concurrency=0, cpu_cost=0.0, events=())
     pending = sorted(flows, key=lambda f: (f.start, f.id))
-    remaining = {}  # id -> bytes left
+    marks = []  # heap of (served when the flow started + its bytes, id)
     completions = {}
     events = []
-    t = 0.0
-    peak = 0
-    n_events = 0
-    while pending or remaining:
-        active = len(remaining)
-        rate_bps = _rate(sw, active) * GB
-        next_start = pending[0].start if pending else None
-        next_finish = None
-        if remaining:
-            least = min(remaining.values())
-            next_finish = t + least / rate_bps
-        if next_finish is None or (next_start is not None
-                                   and next_start <= next_finish):
-            t_next = next_start
-        else:
-            t_next = next_finish
-        # drain active flows up to the event instant
-        if remaining and t_next > t:
-            drained = rate_bps * (t_next - t)
-            for fid in remaining:
-                remaining[fid] -= drained
-        t = t_next
+    t = served = 0.0
+    i = 0
+    while i < len(pending) or marks:
+        if marks:
+            rate_bps = _rate(sw, len(marks)) * GB
+            finish = t + (marks[0][0] - served) / rate_bps
         # completions first, then starts, so ties release bandwidth before
         # the next flow sees the switch
-        done = sorted(fid for fid, left in remaining.items() if left <= 1e-6)
-        for fid in done:
-            del remaining[fid]
-            completions[fid] = t
-            n_events += 1
-            events.append(EventRecord(t, "finish", fid, len(remaining),
-                                      _rate(sw, len(remaining))))
-        while pending and pending[0].start <= t:
-            f = pending.pop(0)
-            remaining[f.id] = f.bytes
-            n_events += 1
-            events.append(EventRecord(t, "start", f.id, len(remaining),
-                                      _rate(sw, len(remaining))))
-        peak = max(peak, len(remaining))
-    makespan = max(completions.values())
+        if marks and (i == len(pending) or finish <= pending[i].start):
+            t, served = finish, marks[0][0]
+            while marks and marks[0][0] == served:
+                fid = heapq.heappop(marks)[1]
+                completions[fid] = t
+                events.append(EventRecord(t, "finish", fid, len(marks),
+                                          _rate(sw, len(marks))))
+            if not marks:
+                served = 0.0  # an idle switch restarts the count exactly
+            continue
+        if marks:  # a start one ulp before a finish must not overtake it
+            served = min(served + rate_bps * (pending[i].start - t),
+                         marks[0][0])
+        t = pending[i].start
+        while i < len(pending) and pending[i].start <= t:
+            f = pending[i]
+            i += 1
+            heapq.heappush(marks, (served + f.bytes, f.id))
+            events.append(EventRecord(t, "start", f.id, len(marks),
+                                      _rate(sw, len(marks))))
+    times = list(completions.values())
     return SimResult(
         completions=completions,
-        makespan=makespan,
-        mean_completion=sum(completions.values()) / len(completions),
-        peak_concurrency=peak,
-        cpu_cost=n_events * sw.cpu_event_cost,
+        makespan=max(times, default=0.0),
+        mean_completion=sum(times) / len(times) if times else 0.0,
+        peak_concurrency=max((e.active_flows for e in events), default=0),
+        cpu_cost=len(events) * sw.cpu_event_cost,
         events=tuple(events),
     )
 
 
-def optimize_stagger(flows, sw: SwitchModel,
-                     objective: Objective = Objective.MEAN_COMPLETION) -> dict:
+def optimize_stagger(flows, sw: SwitchModel) -> dict:
     """Offsets serializing the flows: largest first, each starting when its
     predecessor would finish at solo bandwidth.
 
     Serialization is work-conserving, drives peak concurrency to 1, and
-    for identical flows minimizes mean completion; all three objectives
-    share the schedule, differing only in which metric the caller reads.
+    for identical flows minimizes mean completion.  Each chain step is the
+    finish time `simulate` computes for a flow alone on the switch, and
+    each offset is rounded up until `release + offset` reaches it, so no
+    staggered start precedes its predecessor's finish.
     """
     flows = list(flows)
-    if not flows:
-        return {}
-    Objective(objective)
     solo_bps = min(sw.per_flow_cap, sw.upstream_bandwidth) * GB
-    order = sorted(flows, key=lambda f: (-f.bytes, f.id))
     offsets = {}
     t = 0.0
-    for f in order:
-        start = max(t, f.release)
-        offsets[f.id] = start - f.release
-        t = start + f.bytes / solo_bps
+    for f in sorted(flows, key=lambda f: (-f.bytes, f.id)):
+        offset = max(t - f.release, 0.0)
+        while f.release + offset < t:  # t - release may not round-trip
+            offset = math.nextafter(offset, math.inf)
+        offsets[f.id] = offset
+        t = f.release + offset + f.bytes / solo_bps
     return {f.id: offsets[f.id] for f in flows}
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .commcost import GB, US, resolve_path
-from .errors import MissingServerNode, TooFewParticipants
+from .errors import MissingServerNode, TooFewParticipants, ValidationError
 from .topology import NodeKind, TopologyGraph
 
 
@@ -49,8 +51,21 @@ class ParallelLevel:
     activation_bytes: float = 0.0
 
     def __post_init__(self):
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must be >= 0")
+        for key, positive in (("payload_bytes", False),
+                              ("activation_bytes", False),
+                              ("window_packets", True), ("packet_bytes", True),
+                              ("rtt_us", True), ("microbatches", True)):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and (value > 0 if positive
+                                              else value >= 0)):
+                raise ValidationError(
+                    f"level {self.name!r}: {key} must be finite and "
+                    + ("> 0" if positive else ">= 0"))
+        repeated = sorted(p for p, k in Counter(self.participants).items()
+                          if k > 1)
+        if repeated:
+            raise ValidationError(
+                f"level {self.name!r}: repeated participants {repeated}")
 
     @property
     def n(self) -> int:

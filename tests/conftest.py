@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -158,3 +159,36 @@ def time_stepped_sim(flows, sw, dt: float = 1e-6):
                     completions[fid] = t + dt
         t += dt
     return completions, peak
+
+
+def fair_share_oracle(flows, sw) -> dict:
+    """Exact completion time per flow id, as a Fraction.
+
+    Event-driven in rational arithmetic: between events every active flow
+    drains at min(cap, upstream/k), and the next event is the earliest
+    start or the earliest exact finish.  Only used as an oracle.
+    """
+    upstream = Fraction(sw.upstream_bandwidth) * 10**9
+    cap = Fraction(sw.per_flow_cap) * 10**9
+    pending = sorted(((Fraction(f.release) + Fraction(f.offset), f.id,
+                       Fraction(f.bytes)) for f in flows), reverse=True)
+    left = {}
+    done = {}
+    t = Fraction(0)
+    while pending or left:
+        t_next = pending[-1][0] if pending else None
+        if left:
+            rate = min(cap, upstream / len(left))
+            t_finish = t + min(left.values()) / rate
+            if t_next is None or t_finish < t_next:
+                t_next = t_finish
+            for fid in left:
+                left[fid] -= rate * (t_next - t)
+        t = t_next
+        for fid in [fid for fid, b in left.items() if b == 0]:
+            del left[fid]
+            done[fid] = t
+        while pending and pending[-1][0] <= t:
+            _, fid, nbytes = pending.pop()
+            left[fid] = nbytes
+    return done

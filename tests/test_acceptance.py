@@ -13,8 +13,8 @@ import pytest
 
 from clustersmith import gnn
 from clustersmith.commcost import link_time, path_time, resolve_path
-from clustersmith.contention import (Flow, Objective, SwitchModel,
-                                     optimize_stagger, simulate, with_offsets)
+from clustersmith.contention import (Flow, SwitchModel, optimize_stagger,
+                                     simulate, with_offsets)
 from clustersmith.parallelism import (ParallelLevel, Strategy,
                                       build_time_matrix, select_level,
                                       traffic_for_level)
@@ -103,7 +103,7 @@ def test_acceptance_4_stagger_benefit():
     for n in range(2, 9):
         flows = [Flow(id=f"f{i}", bytes=16e9) for i in range(n)]
         naive = simulate(flows, sw)
-        offsets = optimize_stagger(flows, sw, Objective.MEAN_COMPLETION)
+        offsets = optimize_stagger(flows, sw)
         staggered = simulate(with_offsets(flows, offsets), sw)
         ratio = (n + 1) / (2 * n)
         assert staggered.mean_completion == pytest.approx(

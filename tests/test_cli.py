@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from clustersmith import parallelism
+from clustersmith import gnn, parallelism
 from clustersmith.cli import main
 from clustersmith.commcost import RoutingIndex
 
@@ -182,6 +182,46 @@ def test_stagger_negative_bytes(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", [
+    "flow x bytes=1e9 release=nan", "flow x bytes=nan", "flow x bytes=inf",
+    "flow x bytes=0", "flow x bytes=1e9 release=-1",
+    "flow x bytes=1e9 offset=-inf", "flow f1 bytes=1e9",
+])
+def test_stagger_bad_flow_exit_2(capsys, tmp_path, line):
+    flows = tmp_path / "flows.txt"
+    flows.write_text(FLOWS + line + "\n")
+    code, out, err = run(capsys, "stagger", "--flows", str(flows),
+                         "--upstream", "16")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3, col 1: ")
+    assert "flow 'x'" in err or "repeated flow id 'f1'" in err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--upstream", "nan"), ("--upstream", "inf"), ("--upstream", "0"),
+    ("--upstream", "-16"), ("--cap", "nan"), ("--cap", "inf"), ("--cap", "0"),
+])
+def test_stagger_bad_bandwidth_exit_2(capsys, tmp_path, option, value):
+    flows = tmp_path / "flows.txt"
+    flows.write_text(FLOWS)
+    argv = {"--upstream": "16", option: value}
+    code, out, err = run(capsys, "stagger", "--flows", str(flows),
+                         *[a for kv in argv.items() for a in kv])
+    assert code == 2 and out == ""
+    assert err == "error: bandwidths must be finite and > 0\n"
+
+
+def test_stagger_dropped_options_are_gone(capsys, tmp_path):
+    flows = tmp_path / "flows.txt"
+    flows.write_text(FLOWS)
+    for option in ("--objective", "--cpu-event-cost"):
+        with pytest.raises(SystemExit) as exc:
+            main(["stagger", "--flows", str(flows), "--upstream", "16",
+                  option, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_stagger_event_log(capsys, tmp_path):
     flows = tmp_path / "flows.txt"
     flows.write_text(FLOWS)
@@ -277,3 +317,38 @@ def test_gnn_predict_bad_model_file(capsys, tmp_path, nvlink4_path):
     code, _, _ = run(capsys, "gnn", "predict", "--model", str(bad),
                      "--topo", nvlink4_path, "--level", str(level))
     assert code == 2
+
+
+@pytest.mark.parametrize("fields,message", [
+    ("participants=gpu0,gpu1 payload=nan", "payload_bytes must be finite"),
+    ("participants=gpu0,gpu1 payload=inf", "payload_bytes must be finite"),
+    ("participants=gpu0,gpu1 payload=-5", "payload_bytes must be finite"),
+    ("participants=gpu0,gpu1 payload=abc", "could not convert"),
+    ("participants=gpu0,gpu1 payload=1e9 window=x", "invalid literal"),
+    ("participants=gpu0,gpu1 payload=1e9 activation=nan",
+     "activation_bytes must be finite and >= 0"),
+    ("participants=gpu0,gpu1 payload=1e9 rtt=0", "rtt_us must be finite and > 0"),
+    ("participants=gpu0,gpu1 payload=1e9 rtt=nan", "rtt_us must be finite"),
+    ("participants=gpu0,gpu1 payload=1e9 window=-4", "window_packets must be"),
+    ("participants=gpu0,gpu1 payload=1e9 pkt=0", "packet_bytes must be"),
+    ("participants=gpu0,gpu1 payload=1e9 microbatches=0", "microbatches must be"),
+    ("participants=gpu0,gpu0 payload=1e9", "repeated participants ['gpu0']"),
+    ("participants=gpu0,gpu1,gpu0,gpu1 payload=1e9",
+     "repeated participants ['gpu0', 'gpu1']"),
+])
+def test_bad_level_exit_2(capsys, tmp_path, nvlink4_path, fields, message):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(LEVELS.strip() + "\nlevel r strategy=ring_allreduce "
+                      + fields + "\n")
+    code, out, err = run(capsys, "plan", "--topo", nvlink4_path,
+                         "--levels", str(levels))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3, col 1: ") and message in err
+    model = tmp_path / "model.txt"
+    model.write_text(gnn.save_model(gnn.init_model(seed=0)))
+    level = tmp_path / "level.txt"
+    level.write_text("level r strategy=ring_allreduce " + fields + "\n")
+    code, out, err = run(capsys, "gnn", "predict", "--model", str(model),
+                         "--topo", nvlink4_path, "--level", str(level))
+    assert code == 2 and message in err
+

@@ -1,10 +1,10 @@
+import math
 import random
 
 import pytest
 
 from clustersmith.contention import (
     Flow,
-    Objective,
     SimResult,
     SwitchModel,
     events_to_csv,
@@ -12,8 +12,9 @@ from clustersmith.contention import (
     simulate,
     with_offsets,
 )
+from clustersmith.errors import ValidationError
 
-from conftest import time_stepped_sim
+from conftest import fair_share_oracle, time_stepped_sim
 
 SW16 = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=16.0)
 
@@ -92,8 +93,7 @@ def test_largest_flow_goes_first():
 def test_serialization_preserves_makespan():
     flows = [Flow(id=f"f{i}", bytes=10e9) for i in range(3)]
     naive = simulate(flows, SW16)
-    offsets = optimize_stagger(flows, SW16,
-                               Objective.MAKESPAN_WITH_CPU_COST)
+    offsets = optimize_stagger(flows, SW16)
     staggered = simulate(with_offsets(flows, offsets), SW16)
     assert staggered.makespan == pytest.approx(naive.makespan)
     assert staggered.peak_concurrency == 1
@@ -190,3 +190,114 @@ def test_event_log_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "time_s,event,flow_id,active_flows,per_flow_rate_GBps"
     assert len(lines) == 3  # start + finish
+
+
+# ---------------------------------------------------------------------------
+# termination, event count and exactness at scale
+
+
+def _check_run(flows, res):
+    """2n events in time order, and the logged rates deliver every byte."""
+    assert len(res.events) == 2 * len(flows)
+    times = [e.time_s for e in res.events]
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert _work_integral(list(res.events), flows) == pytest.approx(
+        sum(f.bytes for f in flows), rel=1e-9)
+
+
+def test_repro_staggered_release_terminates():
+    """Seven 1-7 GB flows released 1 ms apart: float residue in per-flow
+    byte counts must not stall simulated time."""
+    flows = [Flow(id=f"f{i}", bytes=1e9 * (1 + i % 7), release=i * 1e-3)
+             for i in range(7)]
+    res = simulate(flows, SW16)
+    _check_run(flows, res)
+    exact = fair_share_oracle(flows, SW16)
+    for fid, t in exact.items():
+        assert res.completions[fid] == pytest.approx(float(t), rel=1e-12)
+
+
+def test_repro_many_sizes_at_once_terminates():
+    flows = [Flow(id=f"f{i}", bytes=2**20 * (i + 1)) for i in range(200)]
+    res = simulate(flows, SW16)
+    _check_run(flows, res)
+    assert res.peak_concurrency == 200
+    staggered = simulate(with_offsets(flows, optimize_stagger(flows, SW16)),
+                         SW16)
+    assert staggered.peak_concurrency == 1
+    assert staggered.makespan == pytest.approx(res.makespan, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,seeds", [(7, 40), (32, 20), (200, 5), (1000, 2),
+                                     (10**4, 1)])
+def test_mixed_flows_terminate_with_2n_events(n, seeds):
+    for seed in range(seeds):
+        rng = random.Random(f"{n}:{seed}")
+        sw = SwitchModel(upstream_bandwidth=rng.choice([15.75, 16.0, 31.5]),
+                         per_flow_cap=rng.choice([4.0, 8.0, 16.0, 31.5]))
+        window = rng.choice([0.0, 1e-3, 1e-2, 1.0])
+        # fractional sizes: sums of whole byte counts are exact in floats
+        flows = [Flow(id=f"f{i}", bytes=2.0 ** rng.uniform(20, 33),
+                      release=rng.choice([0.0, rng.uniform(0, window)]))
+                 for i in range(n)]
+        _check_run(flows, simulate(flows, sw))
+        staggered = with_offsets(flows, optimize_stagger(flows, sw))
+        res = simulate(staggered, sw)
+        _check_run(staggered, res)
+        assert res.peak_concurrency == 1
+
+
+def test_start_one_ulp_before_a_finish_keeps_time_order():
+    rng = random.Random(2)
+    for _ in range(1500):
+        sw = SwitchModel(upstream_bandwidth=rng.choice([12.3, 15.75, 31.5]),
+                         per_flow_cap=rng.choice([4.0, 8.0, 16.0, 31.5]))
+        flows = [Flow(id=f"f{i}", bytes=2.0 ** rng.uniform(20, 30),
+                      release=rng.choice([0.0, rng.uniform(0, 1e-2)]))
+                 for i in range(rng.randint(2, 12))]
+        finish = rng.choice(list(simulate(flows, sw).completions.values()))
+        flows.append(Flow(id="x", bytes=2.0 ** rng.uniform(20, 30),
+                          release=math.nextafter(finish, 0)))
+        _check_run(flows, simulate(flows, sw))
+
+
+def test_matches_exact_fair_share_with_ties():
+    """Dyadic sizes, releases and stagger offsets make starts coincide with
+    one another and with finishes."""
+    rng = random.Random(11)
+    for _ in range(300):
+        upstream = rng.choice([8.0, 12.0, 16.0])
+        sw = SwitchModel(upstream_bandwidth=upstream,
+                         per_flow_cap=rng.choice([upstream, upstream / 2, 4.0]))
+        flows = [Flow(id=f"f{i}", bytes=rng.choice([1, 2, 3, 4]) * 2.0**28,
+                      release=rng.choice([0.0, 0.0, 0.0625, 0.125, 0.25]))
+                 for i in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            flows = with_offsets(flows, optimize_stagger(flows, sw))
+        res = simulate(flows, sw)
+        exact = fair_share_oracle(flows, sw)
+        assert res.completions.keys() == exact.keys()
+        for fid, t in exact.items():
+            assert res.completions[fid] == pytest.approx(float(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"bytes": math.nan}, {"bytes": math.inf}, {"bytes": 0.0},
+    {"bytes": -1.0}, {"release": math.nan}, {"release": math.inf},
+    {"release": -1.0}, {"offset": math.nan}, {"offset": -1e-9},
+])
+def test_flow_rejects_bad_numbers(kwargs):
+    with pytest.raises(ValidationError):
+        Flow(**{"id": "f0", "bytes": 1e9, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"upstream_bandwidth": math.nan}, {"upstream_bandwidth": math.inf},
+    {"upstream_bandwidth": 0.0}, {"per_flow_cap": math.nan},
+    {"per_flow_cap": -4.0}, {"cpu_event_cost": math.nan},
+    {"cpu_event_cost": -1.0},
+])
+def test_switch_rejects_bad_numbers(kwargs):
+    with pytest.raises(ValidationError):
+        SwitchModel(**{"upstream_bandwidth": 16.0, "per_flow_cap": 16.0,
+                       **kwargs})
