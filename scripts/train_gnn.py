@@ -7,8 +7,10 @@ summary, which is handy when tuning the learning rate or epoch budget.
 """
 
 import argparse
+import sys
 
 from clustersmith import gnn
+from clustersmith.errors import ClusterError
 
 
 def main(argv=None) -> int:
@@ -20,19 +22,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="model.txt")
     args = parser.parse_args(argv)
 
-    dataset = gnn.generate_dataset(seed=args.seed, count=args.count)
-    cfg = gnn.TrainConfig(learning_rate=args.learning_rate,
-                          epochs=args.epochs, seed=args.seed)
-    model, history, val_idx = gnn.train(gnn.init_model(seed=cfg.seed),
-                                        dataset, cfg)
-    mape = gnn.validation_mape(model, dataset, val_idx)
+    try:
+        cfg = gnn.TrainConfig(learning_rate=args.learning_rate,
+                              epochs=args.epochs, seed=args.seed)
+        dataset = gnn.generate_dataset(seed=args.seed, count=args.count)
+        model, history, val_idx = gnn.train(gnn.init_model(seed=cfg.seed),
+                                            dataset, cfg)
+        mape = gnn.validation_mape(model, dataset, val_idx)
+    except ClusterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     with open(args.out, "w") as fh:
         fh.write(gnn.save_model(model))
     step = max(1, len(history) // 10)
     for epoch in range(0, len(history), step):
         print(f"epoch {epoch:4d}  train loss {history[epoch]:.6f}")
-    print(f"epoch {len(history) - 1:4d}  train loss {history[-1]:.6f}")
+    if history:
+        print(f"epoch {len(history) - 1:4d}  train loss {history[-1]:.6f}")
     print(f"validation MAPE {mape:.3f} over {len(val_idx)} held-out samples")
     print(f"model written to {args.out}")
     return 0

@@ -219,17 +219,17 @@ def cmd_price(args) -> int:
 
 def cmd_gnn(args) -> int:
     if args.action == "train":
-        samples = gnn.generate_dataset(seed=args.seed, count=args.count)
-        model = gnn.init_model(seed=args.seed)
         cfg = gnn.TrainConfig(seed=args.seed, epochs=args.epochs,
                               learning_rate=args.learning_rate)
+        samples = gnn.generate_dataset(seed=args.seed, count=args.count)
+        model = gnn.init_model(seed=args.seed)
         model, history, val_idx = gnn.train(model, samples, cfg)
+        mape = gnn.validation_mape(model, samples, val_idx)
         _write_out(gnn.save_model(model), args.out)
         if args.loss_csv:
             lines = ["epoch,train_mse"] + [
                 f"{i + 1},{loss!r}" for i, loss in enumerate(history)]
             _write_out("\n".join(lines) + "\n", args.loss_csv)
-        mape = gnn.validation_mape(model, samples, val_idx)
         print(f"trained on {args.count} samples; validation MAPE {mape:.4f}")
         return EXIT_OK
     if not (args.model and args.topo and args.level):

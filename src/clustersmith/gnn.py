@@ -10,12 +10,15 @@ incident bandwidths), participant flag, log10(1 + payload bytes).
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, NonSymmetricInput
+from .errors import (DimensionMismatch, EmptyDataset, NonSymmetricInput,
+                     ParseError, ValidationError)
 from .parallelism import ParallelLevel, Strategy, comm_time
 from .topology import Link, LinkKind, Node, NodeKind, TopologyGraph, build_graph
 
@@ -87,18 +90,85 @@ def init_model(seed: int, in_dim: int = FEATURE_DIM, hidden: int = 16,
 
 def forward(model: GnnModel, a_hat: np.ndarray, h: np.ndarray) -> float:
     """Scalar prediction in normalized log space."""
-    if h.shape[1] != model.weights[0].shape[0]:
+    predictions = _forward(model, GraphBatch([(a_hat, h)]))[0]
+    return float(predictions[0])
+
+
+class GraphBatch:
+    """Graphs zero-padded to one node count, for one pass over all of them.
+
+    `a_hat` is (B, N, N); `pool` is (B, N) with 1/|V| on a graph's own nodes
+    and 0 on padding, so pooling is a masked mean.  A padded node's zero
+    adjacency column keeps it out of every real node's aggregation, and its
+    zero pool weight keeps it out of the output, so padding changes no
+    prediction or gradient.  Node rows are stacked as (B * N, F) matrices,
+    so each layer's weight product is one matrix product, and `ones @ rows`
+    sums them.  `ah` is A_hat H, the first layer's input, which stays fixed
+    while the weights train.
+    """
+
+    def __init__(self, pairs, nodes: int | None = None):
+        pairs = list(pairs)
+        if not pairs:
+            raise EmptyDataset("a batch needs at least one graph")
+        dim = pairs[0][1].shape[-1]
+        for a_hat, h in pairs:
+            if h.ndim != 2 or a_hat.shape != (len(h), len(h)):
+                raise DimensionMismatch("adjacency/features row mismatch")
+            if h.shape[1] != dim:
+                raise DimensionMismatch("graphs in a batch must share a "
+                                        "feature dimension")
+        sizes = [len(h) for _, h in pairs]
+        n = max(sizes) if nodes is None else nodes
+        if n < max(sizes):
+            raise DimensionMismatch(f"cannot pad a {max(sizes)}-node graph "
+                                    f"to {n} nodes")
+        self.a_hat = np.zeros((len(pairs), n, n))
+        ah = np.zeros((len(pairs), n, dim))
+        self.pool = np.zeros((len(pairs), n))
+        for k, (a_hat, h) in enumerate(pairs):
+            self.a_hat[k, :len(h), :len(h)] = a_hat
+            ah[k, :len(h)] = a_hat @ h
+            self.pool[k, :len(h)] = 1.0 / len(h)
+        self.ah = ah.reshape(-1, dim)
+        self.ones = np.ones(len(self.ah))
+        self._buffers = {}
+
+    def _aggregate(self, a: np.ndarray, x: np.ndarray, key) -> np.ndarray:
+        """a @ x for each graph, with x as stacked (B * N, F) rows."""
+        out = self._buffer(key, x.shape)
+        shape = (len(a), -1, x.shape[1])
+        np.matmul(a, x.reshape(shape), out=out.reshape(shape))
+        return out
+
+    def _buffer(self, key, shape) -> np.ndarray:
+        """Scratch array reused by every pass over this batch."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape)
+        return buf
+
+
+def _forward(model: GnnModel, batch: GraphBatch):
+    """Predictions (B,), pooled features (B, F) and, per layer, (s, x)
+    with s = A_hat x_in and x = relu(s W + b) the layer's output, both as
+    stacked (B * N, F) rows."""
+    if batch.ah.shape[1] != model.weights[0].shape[0]:
         raise DimensionMismatch(
-            f"feature dim {h.shape[1]} != model input dim "
+            f"feature dim {batch.ah.shape[1]} != model input dim "
             f"{model.weights[0].shape[0]}"
         )
-    if a_hat.shape[0] != h.shape[0]:
-        raise DimensionMismatch("adjacency/features row mismatch")
-    x = h
-    for w, b in zip(model.weights, model.biases):
-        x = np.maximum(a_hat @ x @ w + b, 0.0)
-    pooled = x.mean(axis=0)
-    return float(pooled @ model.head_w + model.head_b)
+    s, layers = batch.ah, []
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if k:
+            s = batch._aggregate(batch.a_hat, x, ("s", k))
+        x = np.matmul(s, w, out=batch._buffer(("x", k), (len(s), w.shape[1])))
+        x += b
+        np.maximum(x, 0.0, out=x)
+        layers.append((s, x))
+    pooled = np.matmul(batch.pool[:, None, :],
+                       x.reshape(len(batch.pool), -1, x.shape[1]))[:, 0, :]
+    return pooled @ model.head_w + model.head_b, pooled, layers
 
 
 @dataclass
@@ -113,38 +183,44 @@ class Gradients:
 def gradients(model: GnnModel, a_hat: np.ndarray, h: np.ndarray,
               target: float) -> Gradients:
     """Exact reverse-mode gradients of (prediction - target)^2."""
-    # forward with intermediates
-    xs = [h]
-    pre = []
-    x = h
-    for w, b in zip(model.weights, model.biases):
-        p = a_hat @ x @ w + b
-        pre.append(p)
-        x = np.maximum(p, 0.0)
-        xs.append(x)
-    pooled = x.mean(axis=0)
-    prediction = float(pooled @ model.head_w + model.head_b)
-    err = prediction - target
+    return batch_gradients(model, GraphBatch([(a_hat, h)]), [target])
 
+
+def batch_gradients(model: GnnModel, batch: GraphBatch,
+                    targets) -> Gradients:
+    """Exact reverse-mode gradients of the summed squared error
+    sum_k (prediction_k - target_k)^2 over the batch."""
+    pred, pooled, layers = _forward(model, batch)
+    err = pred - np.asarray(targets, dtype=float)
     d_pred = 2.0 * err
-    g_head_w = d_pred * pooled
-    g_head_b = d_pred
-    d_x = np.tile(d_pred * model.head_w / x.shape[0], (x.shape[0], 1))
+    # d loss / d x_last: the head weights spread over each graph's own nodes
+    d_x = batch._buffer("dx", layers[-1][1].shape)
+    np.multiply((d_pred[:, None] * model.head_w)[:, None, :],
+                batch.pool[:, :, None],
+                out=d_x.reshape(len(batch.pool), -1, d_x.shape[1]))
+    a_hat_t = np.swapaxes(batch.a_hat, 1, 2)
     g_w, g_b = [], []
-    for layer in reversed(range(len(model.weights))):
-        d_p = d_x * (pre[layer] > 0)
-        s = a_hat @ xs[layer]
-        g_w.append(s.T @ d_p)
-        g_b.append(d_p.sum(axis=0))
-        d_x = a_hat.T @ (d_p @ model.weights[layer].T)
+    for k in reversed(range(len(model.weights))):
+        s, x = layers[k]
+        np.multiply(d_x, x > 0, out=d_x)        # now d loss / d (s W + b)
+        g_w.append(s.T @ d_x)
+        g_b.append(batch.ones @ d_x)
+        if k:
+            d_s = np.matmul(d_x, model.weights[k].T,
+                            out=batch._buffer("ds", s.shape))
+            d_x = batch._aggregate(a_hat_t, d_s, "dx")
     return Gradients(weights=g_w[::-1], biases=g_b[::-1],
-                     head_w=g_head_w, head_b=g_head_b, loss=err * err)
+                     head_w=d_pred @ pooled, head_b=float(d_pred.sum()),
+                     loss=float(err @ err))
+
+
+def _inputs(g: TopologyGraph, level: ParallelLevel):
+    return normalized_adjacency(g.adjacency), node_features(g, level)
 
 
 def predict_seconds(model: GnnModel, g: TopologyGraph,
                     level: ParallelLevel) -> float:
-    a_hat = normalized_adjacency(g.adjacency)
-    z = forward(model, a_hat, node_features(g, level))
+    z = forward(model, *_inputs(g, level))
     return float(np.exp(z * model.label_sigma + model.label_mu))
 
 
@@ -226,79 +302,73 @@ class TrainConfig:
     split: float = 0.8
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError("learning_rate must be finite and >= 0")
+        if self.epochs < 0:
+            raise ValidationError("epochs must be >= 0")
         if not 0.0 < self.split < 1.0:
-            raise ValueError("split must lie in (0, 1)")
-
-
-def _prepare(samples):
-    prepared = []
-    for s in samples:
-        a_hat = normalized_adjacency(s.graph.adjacency)
-        h = node_features(s.graph, s.level)
-        prepared.append((a_hat, h, np.log(s.label_seconds)))
-    return prepared
+            raise ValidationError("split must lie in (0, 1)")
 
 
 def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
     """Full-batch gradient descent on standardized log labels.
 
-    Returns (model, per-epoch training loss list, validation indices).
-    The split is seeded by cfg.seed; the model is mutated in place and
-    also returned.
+    Each epoch is one batched forward and backward pass over every
+    training graph.  Returns (model, per-epoch training loss list,
+    validation indices).  The split is seeded by cfg.seed; the model is
+    mutated in place and also returned.
     """
     if not samples:
         raise EmptyDataset("training needs at least one sample")
-    prepared = _prepare(samples)
-    order = list(range(len(prepared)))
+    order = list(range(len(samples)))
     random.Random(cfg.seed).shuffle(order)
     n_train = max(1, int(round(cfg.split * len(order))))
     train_idx = order[:n_train]
     val_idx = order[n_train:]
 
-    zs = np.array([prepared[i][2] for i in train_idx])
+    batch = GraphBatch(_inputs(samples[i].graph, samples[i].level)
+                       for i in train_idx)
+    zs = np.array([np.log(samples[i].label_seconds) for i in train_idx])
     model.label_mu = float(zs.mean())
     model.label_sigma = float(zs.std()) or 1.0
+    targets = (zs - model.label_mu) / model.label_sigma
 
     history = []
-    for _ in range(cfg.epochs):
-        acc_w = [np.zeros_like(w) for w in model.weights]
-        acc_b = [np.zeros_like(b) for b in model.biases]
-        acc_hw = np.zeros_like(model.head_w)
-        acc_hb = 0.0
-        loss = 0.0
-        for i in train_idx:
-            a_hat, h, z = prepared[i]
-            target = (z - model.label_mu) / model.label_sigma
-            grad = gradients(model, a_hat, h, target)
-            for a, gw in zip(acc_w, grad.weights):
-                a += gw
-            for a, gb in zip(acc_b, grad.biases):
-                a += gb
-            acc_hw += grad.head_w
-            acc_hb += grad.head_b
-            loss += grad.loss
-        k = len(train_idx)
-        lr = cfg.learning_rate
-        for w, gw in zip(model.weights, acc_w):
-            w -= lr * gw / k
-        for b, gb in zip(model.biases, acc_b):
-            b -= lr * gb / k
-        model.head_w -= lr * acc_hw / k
-        model.head_b = float(model.head_b - lr * acc_hb / k)
-        history.append(loss / k)
+    k = len(train_idx)
+    lr = cfg.learning_rate
+    # a learning rate too large for the data overflows; that is reported
+    # below as divergence rather than as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            grad = batch_gradients(model, batch, targets)
+            if not math.isfinite(grad.loss):
+                break
+            for w, gw in zip(model.weights, grad.weights):
+                w -= lr * gw / k
+            for b, gb in zip(model.biases, grad.biases):
+                b -= lr * gb / k
+            model.head_w -= lr * grad.head_w / k
+            model.head_b = float(model.head_b - lr * grad.head_b / k)
+            history.append(grad.loss / k)
+    params = (*model.weights, *model.biases, model.head_w, model.head_b)
+    if len(history) < cfg.epochs or not all(np.isfinite(p).all()
+                                            for p in params):
+        raise ValidationError(
+            f"training diverged after {len(history)} epochs at learning "
+            f"rate {lr!r}: the loss or the weights are no longer finite")
     return model, history, val_idx
 
 
 def validation_mape(model: GnnModel, samples, val_idx) -> float:
     """Mean absolute percentage error in the seconds domain."""
-    errs = []
-    for i in val_idx:
-        s = samples[i]
-        pred = predict_seconds(model, s.graph, s.level)
-        errs.append(abs(pred - s.label_seconds) / s.label_seconds)
-    return float(np.mean(errs)) if errs else 0.0
+    if not val_idx:
+        raise EmptyDataset("validation needs at least one held-out sample")
+    batch = GraphBatch(_inputs(samples[i].graph, samples[i].level)
+                       for i in val_idx)
+    z = _forward(model, batch)[0]
+    labels = np.array([samples[i].label_seconds for i in val_idx])
+    pred = np.exp(z * model.label_sigma + model.label_mu)
+    return float(np.mean(np.abs(pred - labels) / labels))
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +393,71 @@ def save_model(model: GnnModel) -> str:
 
 
 def load_model(text: str) -> GnnModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_VERSION:
+    """Parse a model file written by `save_model`.
+
+    A missing, repeated or unknown field, a value that is not a finite
+    number, and a field of the wrong length raise ParseError naming the
+    field and its line.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != FORMAT_VERSION:
         raise DimensionMismatch("unrecognized model format header")
     fields = {}
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest
-    dims = tuple(int(x) for x in fields["dims"].split())
+    for line_no, line in lines[1:]:
+        key = line.split(None, 1)[0]
+        if key in fields:
+            raise ParseError(f"repeated field {key!r}", line_no,
+                             line.index(key) + 1)
+        fields[key] = (line_no, line)
+
+    def values(key, size=None, positive=False):
+        if key not in fields:
+            raise ParseError(f"missing field {key!r}")
+        line_no, line = fields.pop(key)
+        try:
+            out = [float(t) for t in line.split()[1:]]
+        except ValueError:
+            out = None
+        if (out is None or not all(map(math.isfinite, out))
+                or (positive and min(out, default=1.0) <= 0)):
+            _raise_bad_value(key, line, line_no, positive)
+        if size is not None and len(out) != size:
+            raise ParseError(f"{key} has {len(out)} values, expected {size}",
+                             line_no, 1)
+        return out
+
+    dims_line = fields.get("dims", (None,))[0]
+    dims = values("dims", positive=True)
+    if len(dims) < 2 or any(d != int(d) for d in dims):
+        raise ParseError("dims needs at least two whole sizes", dims_line, 1)
+    dims = [int(d) for d in dims]
+    label_mu, = values("label_mu", 1)
+    label_sigma, = values("label_sigma", 1, positive=True)
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        w = np.array([float(x) for x in fields[f"W{i}"].split()])
-        if w.size != fan_in * fan_out:
-            raise DimensionMismatch(f"W{i} has {w.size} values, "
-                                    f"expected {fan_in * fan_out}")
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(np.array([float(x) for x in fields[f"b{i}"].split()]))
-    head_w = np.array([float(x) for x in fields["head_w"].split()])
-    if head_w.size != dims[-1]:
-        raise DimensionMismatch("head_w size mismatch")
+        w = values(f"W{i}", fan_in * fan_out)
+        weights.append(np.array(w).reshape(fan_in, fan_out))
+        biases.append(np.array(values(f"b{i}", fan_out)))
+    head_w = np.array(values("head_w", dims[-1]))
+    head_b, = values("head_b", 1)
+    if fields:
+        key = min(fields, key=lambda k: fields[k][0])
+        raise ParseError(f"unknown field {key!r}", fields[key][0], 1)
     return GnnModel(weights=weights, biases=biases, head_w=head_w,
-                    head_b=float(fields["head_b"]),
-                    label_mu=float(fields["label_mu"]),
-                    label_sigma=float(fields["label_sigma"]))
+                    head_b=head_b, label_mu=label_mu, label_sigma=label_sigma)
+
+
+def _raise_bad_value(key, line, line_no, positive):
+    """ParseError at the first value on a model-file line that is not a
+    finite number (or, if `positive`, not > 0)."""
+    for m in list(re.finditer(r"\S+", line))[1:]:
+        try:
+            value = float(m.group())
+        except ValueError:
+            raise ParseError(f"{key}: not a number: {m.group()!r}",
+                             line_no, m.start() + 1) from None
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise ParseError(f"{key}: {m.group()!r} is not finite"
+                             + (" and > 0" if positive else ""),
+                             line_no, m.start() + 1)

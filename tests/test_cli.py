@@ -319,6 +319,48 @@ def test_gnn_predict_bad_model_file(capsys, tmp_path, nvlink4_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--learning-rate", "-1"], "learning_rate must be finite and >= 0"),
+    (["--learning-rate", "nan"], "learning_rate must be finite and >= 0"),
+    (["--epochs", "-3"], "epochs must be >= 0"),
+    (["--learning-rate", "1e6", "--count", "20", "--epochs", "50"],
+     "training diverged"),
+    (["--count", "1"], "validation needs at least one held-out sample"),
+    (["--count", "2"], "validation needs at least one held-out sample"),
+])
+def test_gnn_train_bad_settings_exit_2(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "model.txt"
+    code, out, err = run(capsys, "gnn", "train", "--epochs", "5", *argv,
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ls[:2], "missing field 'label_mu'"),
+    (lambda ls: ls[:4] + ls[5:], "missing field 'W0'"),
+    (lambda ls: ls[:5] + ["b0 0.5"] + ls[6:],
+     "line 6, col 1: b0 has 1 values, expected 16"),
+    (lambda ls: ls[:2] + ["label_mu abc"] + ls[3:],
+     "line 3, col 10: label_mu: not a number: 'abc'"),
+    (lambda ls: ls[:9] + ["head_b nan"], "line 10, col 8: head_b: 'nan'"),
+])
+def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
+                                            edit, message):
+    lines = gnn.save_model(gnn.init_model(seed=0)).splitlines()
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(edit(lines)) + "\n")
+    level = tmp_path / "level.txt"
+    level.write_text("level r2 strategy=ring_allreduce "
+                     "participants=gpu0,gpu1 payload=1e9\n")
+    code, out, err = run(capsys, "gnn", "predict", "--model", str(model),
+                         "--topo", nvlink4_path, "--level", str(level))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("fields,message", [
     ("participants=gpu0,gpu1 payload=nan", "payload_bytes must be finite"),
     ("participants=gpu0,gpu1 payload=inf", "payload_bytes must be finite"),

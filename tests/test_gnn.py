@@ -4,15 +4,20 @@ import random
 import numpy as np
 import pytest
 
+from clustersmith import gnn
 from clustersmith.errors import (
     DimensionMismatch,
     EmptyDataset,
     NonSymmetricInput,
+    ParseError,
+    ValidationError,
 )
 from clustersmith.gnn import (
     FEATURE_DIM,
     GnnModel,
+    GraphBatch,
     TrainConfig,
+    batch_gradients,
     forward,
     generate_dataset,
     gradients,
@@ -180,6 +185,145 @@ def test_head_bias_gradient_with_zero_features():
 
 
 # ---------------------------------------------------------------------------
+# batched passes
+
+
+def _reference_gradients(model, a_hat, h, target):
+    """Per-sample reverse mode on one unpadded graph, written apart from
+    the batched code: (weights, biases, head_w, head_b, loss)."""
+    xs, pre, x = [h], [], h
+    for w, b in zip(model.weights, model.biases):
+        pre.append(a_hat @ x @ w + b)
+        x = np.maximum(pre[-1], 0.0)
+        xs.append(x)
+    pooled = x.mean(axis=0)
+    err = float(pooled @ model.head_w + model.head_b) - target
+    d_x = np.tile(2.0 * err * model.head_w / len(x), (len(x), 1))
+    g_w, g_b = [], []
+    for layer in reversed(range(len(model.weights))):
+        d_p = d_x * (pre[layer] > 0)
+        g_w.append((a_hat @ xs[layer]).T @ d_p)
+        g_b.append(d_p.sum(axis=0))
+        d_x = a_hat.T @ (d_p @ model.weights[layer].T)
+    return g_w[::-1], g_b[::-1], 2.0 * err * pooled, 2.0 * err, err * err
+
+
+def _mixed_batch(seed, count=9):
+    """(a_hat, h) pairs of graphs with different node counts, and targets."""
+    samples = generate_dataset(seed=seed, count=count)
+    pairs = [(normalized_adjacency(s.graph.adjacency),
+              node_features(s.graph, s.level)) for s in samples]
+    assert len({len(h) for _, h in pairs}) > 2
+    targets = np.random.default_rng(seed).normal(size=count)
+    return pairs, targets
+
+
+def _biased_model(seed):
+    """init_model with positive biases, so a padded node's relu(b) is
+    nonzero and would show in any output that read it."""
+    model = init_model(seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b[:] = rng.uniform(0.05, 0.5, size=b.shape)
+    return model
+
+
+def _grad_vector(g):
+    return np.concatenate([w.ravel() for w in g.weights]
+                          + [b.ravel() for b in g.biases]
+                          + [g.head_w, [g.head_b]])
+
+
+def test_batched_gradients_equal_sum_of_single_gradients():
+    for seed in range(4):
+        pairs, targets = _mixed_batch(seed)
+        model = _biased_model(seed + 20)
+        batched = batch_gradients(model, GraphBatch(pairs, nodes=12), targets)
+        singles = [gradients(model, a, h, t) for (a, h), t in zip(pairs, targets)]
+        refs = [_reference_gradients(model, a, h, t)
+                for (a, h), t in zip(pairs, targets)]
+        total = sum(_grad_vector(g) for g in singles)
+        assert np.allclose(_grad_vector(batched), total, rtol=0, atol=1e-12)
+        assert batched.loss == pytest.approx(sum(g.loss for g in singles),
+                                             rel=1e-12)
+        for single, (g_w, g_b, g_hw, g_hb, loss) in zip(singles, refs):
+            want = np.concatenate([w.ravel() for w in g_w]
+                                  + [b.ravel() for b in g_b] + [g_hw, [g_hb]])
+            assert np.allclose(_grad_vector(single), want, rtol=0, atol=1e-12)
+            assert single.loss == pytest.approx(loss, rel=1e-12)
+
+
+def test_batched_mean_loss_matches_central_finite_differences():
+    step = 1e-5
+    rng = np.random.default_rng(31)
+    for seed in range(3):
+        pairs, targets = _mixed_batch(seed + 40, count=6)
+        model = _biased_model(seed)
+        analytic = _grad_vector(
+            batch_gradients(model, GraphBatch(pairs), targets)) / len(pairs)
+        theta = _flatten(model)
+        probe = copy.deepcopy(model)
+
+        def mean_loss(vec):
+            _unflatten_into(probe, vec)
+            return np.mean([(forward(probe, a, h) - t) ** 2
+                            for (a, h), t in zip(pairs, targets)])
+
+        for j in rng.choice(theta.size, size=25, replace=False):
+            plus, minus = theta.copy(), theta.copy()
+            plus[j] += step
+            minus[j] -= step
+            numeric = (mean_loss(plus) - mean_loss(minus)) / (2 * step)
+            scale = max(abs(numeric), abs(analytic[j]), 1e-8)
+            assert abs(numeric - analytic[j]) / scale < 1e-4
+
+
+def test_padding_size_changes_nothing():
+    pairs, targets = _mixed_batch(5)
+    model = _biased_model(5)
+    runs = []
+    for nodes in (12, 20):
+        batch = GraphBatch(pairs, nodes=nodes)
+        assert batch.a_hat.shape == (len(pairs), nodes, nodes)
+        runs.append((gnn._forward(model, batch)[0],
+                     _grad_vector(batch_gradients(model, batch, targets))))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.allclose(runs[0][1], runs[1][1], rtol=0, atol=1e-12)
+    assert runs[0][0] == pytest.approx([forward(model, a, h) for a, h in pairs],
+                                       rel=0, abs=1e-12)
+
+
+def test_graph_batch_rejects_bad_stacks():
+    pairs, _ = _mixed_batch(1)
+    with pytest.raises(EmptyDataset):
+        GraphBatch([])
+    with pytest.raises(DimensionMismatch):
+        GraphBatch(pairs, nodes=max(len(h) for _, h in pairs) - 1)
+    with pytest.raises(DimensionMismatch):
+        GraphBatch(pairs + [(np.eye(2), np.zeros((2, 3)))])
+
+
+def test_train_runs_one_batched_pass_per_epoch(monkeypatch):
+    samples = generate_dataset(seed=4, count=20)
+    passes = []
+    real = gnn.batch_gradients
+
+    def counting(model, batch, targets):
+        passes.append(len(batch.pool))
+        return real(model, batch, targets)
+
+    def per_sample(*args):
+        raise AssertionError("train must not take per-sample gradients")
+
+    monkeypatch.setattr(gnn, "batch_gradients", counting)
+    monkeypatch.setattr(gnn, "gradients", per_sample)
+    _, history, val_idx = train(init_model(seed=4), samples,
+                                TrainConfig(seed=4, epochs=7))
+    assert passes == [len(samples) - len(val_idx)] * 7 == [16] * 7
+    assert len(history) == 7
+
+
+# ---------------------------------------------------------------------------
 # dataset
 
 
@@ -230,6 +374,42 @@ def test_training_deterministic():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": -1.0}, {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")}, {"epochs": -3}, {"split": 1.0},
+])
+def test_train_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValidationError):
+        TrainConfig(**kwargs)
+
+
+def test_training_divergence_is_an_error():
+    samples = generate_dataset(seed=2, count=20)
+    with pytest.raises(ValidationError, match="diverged"):
+        train(init_model(seed=2), samples,
+              TrainConfig(learning_rate=1e6, epochs=50, seed=2))
+
+
+def test_validation_mape_needs_held_out_samples():
+    samples = generate_dataset(seed=2, count=2)
+    model, _, val_idx = train(init_model(seed=2), samples,
+                              TrainConfig(epochs=3, seed=2))
+    assert val_idx == []
+    with pytest.raises(EmptyDataset):
+        validation_mape(model, samples, val_idx)
+
+
+def test_validation_mape_matches_per_sample_predictions():
+    samples = generate_dataset(seed=9, count=30)
+    model, _, val_idx = train(init_model(seed=9), samples,
+                              TrainConfig(epochs=20, seed=9))
+    errs = [abs(predict_seconds(model, samples[i].graph, samples[i].level)
+                - samples[i].label_seconds) / samples[i].label_seconds
+            for i in val_idx]
+    assert validation_mape(model, samples, val_idx) == \
+        pytest.approx(np.mean(errs), rel=1e-12)
+
+
 def test_training_empty_dataset():
     with pytest.raises(EmptyDataset):
         train(init_model(seed=0), [], TrainConfig())
@@ -258,3 +438,43 @@ def test_model_round_trip():
 def test_load_model_rejects_garbage():
     with pytest.raises(DimensionMismatch):
         load_model("not a model\n")
+
+
+def _model_text():
+    samples = generate_dataset(seed=3, count=10)
+    model, _, _ = train(init_model(seed=3), samples,
+                        TrainConfig(seed=3, epochs=2))
+    return save_model(model)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ls[:2], "missing field 'label_mu'"),
+    (lambda ls: ls[:4], "missing field 'W0'"),
+    (lambda ls: ls[:5] + ls[6:], "missing field 'b0'"),
+    (lambda ls: ls + ["head_b 0.0"], "line 11, col 1: repeated field 'head_b'"),
+    (lambda ls: ls + ["W2 1.0"], "line 11, col 1: unknown field 'W2'"),
+    (lambda ls: ls[:5] + ["b0 0.5"] + ls[6:], "line 6, col 1: b0 has 1 values, "
+                                             "expected 16"),
+    (lambda ls: ls[:9] + ["head_b 0.0 1.0"], "head_b has 2 values"),
+    (lambda ls: ls[:3] + ["label_sigma nan"] + ls[4:],
+     "line 4, col 13: label_sigma: 'nan' is not finite and > 0"),
+    (lambda ls: ls[:3] + ["label_sigma 0.0"] + ls[4:], "label_sigma: '0.0'"),
+    (lambda ls: ls[:2] + ["label_mu x"] + ls[3:],
+     "line 3, col 10: label_mu: not a number: 'x'"),
+    (lambda ls: ls[:6] + [ls[6].replace(" ", " inf ", 1)] + ls[7:],
+     "line 7, col 4: W1: 'inf' is not finite"),
+    (lambda ls: ["clustersmith-gnn v1", "dims 14 0 16"] + ls[2:],
+     "line 2, col 9: dims: '0' is not finite and > 0"),
+    (lambda ls: ["clustersmith-gnn v1", "dims 14"] + ls[2:],
+     "line 2, col 1: dims needs at least two whole sizes"),
+    (lambda ls: ["clustersmith-gnn v1", "dims 14 16.5 16"] + ls[2:],
+     "line 2, col 1: dims needs at least two whole sizes"),
+    (lambda ls: ["clustersmith-gnn v1", "dims 14 1" + "0" * 400 + " 16"]
+     + ls[2:], "line 2, col 9: dims: '1000"),
+])
+def test_load_model_rejects_malformed_fields(edit, message):
+    lines = _model_text().splitlines()
+    assert len(lines) == 10
+    with pytest.raises(ParseError) as exc:
+        load_model("\n".join(edit(lines)) + "\n")
+    assert message in str(exc.value)
