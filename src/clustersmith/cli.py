@@ -9,11 +9,12 @@ bytes.  Set CLUSTERSMITH_NO_COLOR to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from . import commcost, contention, gnn, parallelism, pricing, topology
+from . import contention, parallelism, pricing, topology
 from .errors import ClusterError, ParseError, ValidationError
 
 EXIT_OK = 0
@@ -36,8 +37,15 @@ def _err(text):
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        raise ParseError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}",
+                         data.count(b"\n", 0, at) + 1,
+                         at - data.rfind(b"\n", 0, at)) from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -218,6 +226,8 @@ def cmd_price(args) -> int:
 
 
 def cmd_gnn(args) -> int:
+    from . import gnn  # the only command that needs numpy
+
     if args.action == "train":
         cfg = gnn.TrainConfig(seed=args.seed, epochs=args.epochs,
                               learning_rate=args.learning_rate)
@@ -308,8 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ClusterError as exc:

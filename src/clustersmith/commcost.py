@@ -32,19 +32,6 @@ ALLOWED_FRACTIONS = (1.0, 0.5, 0.25)
 
 
 @dataclass(frozen=True)
-class TransferRequest:
-    src: str
-    dst: str
-    bytes: float
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError("src and dst must differ")
-        if self.bytes < 0:
-            raise ValueError("bytes must be >= 0")
-
-
-@dataclass(frozen=True)
 class ResolvedPath:
     nodes: tuple[str, ...]
     links: tuple[Link, ...]

@@ -66,6 +66,13 @@ class ParallelLevel:
         if repeated:
             raise ValidationError(
                 f"level {self.name!r}: repeated participants {repeated}")
+        if self.strategy not in _SERVER_KINDS and self.server is not None:
+            raise ValidationError(
+                f"level {self.name!r}: {self.strategy.value} takes no server")
+        if self.server in self.participants:
+            raise ValidationError(
+                f"level {self.name!r}: server {self.server!r} is also a "
+                "participant")
 
     @property
     def n(self) -> int:

@@ -12,10 +12,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from importlib import resources
 
-from .errors import NeverBreaksEven
+from .errors import NeverBreaksEven, ValidationError
+
+
+def _check(what: str, value: float, positive: bool = False) -> None:
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValidationError(
+            f"{what} must be finite and " + ("> 0" if positive else ">= 0")
+            + f", got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,8 +31,7 @@ class FundingLevel:
     amount: float  # USD
 
     def __post_init__(self):
-        if self.amount < 0:
-            raise ValueError("amount must be >= 0")
+        _check("funding amount", self.amount)
 
 
 @dataclass(frozen=True)
@@ -34,8 +40,7 @@ class RentalQuote:
     monthly: float  # USD
 
     def __post_init__(self):
-        if self.monthly <= 0:
-            raise ValueError("monthly must be > 0")
+        _check("monthly rent", self.monthly, positive=True)
 
 
 @dataclass(frozen=True)
@@ -44,26 +49,28 @@ class PurchaseOption:
     monthly_opex: float = 0.0
 
     def __post_init__(self):
-        if self.capex < 0 or self.monthly_opex < 0:
-            raise ValueError("capex and opex must be >= 0")
+        _check("capex", self.capex)
+        _check("monthly opex", self.monthly_opex)
 
 
 def coverage_months(f: FundingLevel, q: RentalQuote) -> float:
     """Months of rental the funding covers, rounded half-up to 2 decimals."""
     ratio = Decimal(repr(f.amount)) / Decimal(repr(q.monthly))
-    return float(ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    try:
+        return float(ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    except InvalidOperation:  # more digits than the context's precision
+        raise ValidationError(f"coverage ratio {ratio:.3e} is too large") from None
 
 
 def tiered_price(base: float, markups) -> float:
     """Final price after each intermediary applies its cost-plus markup."""
-    if base < 0:
-        raise ValueError("base must be >= 0")
+    _check("base price", base)
     price = base
     # one fixed order, so the rounded product does not depend on the order
     # the markups are listed in
     for m in sorted(markups):
-        if m <= -1:
-            raise ValueError("markup must be > -1")
+        if not (math.isfinite(m) and m > -1):
+            raise ValidationError(f"markup must be finite and > -1, got {m!r}")
         price *= 1.0 + m
     return price
 
@@ -78,7 +85,10 @@ def break_even(p: PurchaseOption, q: RentalQuote) -> int:
         return 1
     if net <= 0:
         raise NeverBreaksEven("rent never overtakes ownership cost")
-    return max(1, math.ceil(p.capex / net))
+    months = p.capex / net
+    if not math.isfinite(months):
+        raise ValidationError("break-even month count overflows")
+    return max(1, math.ceil(months))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from enum import Enum
 from functools import cached_property
 from importlib import resources
 
-import numpy as np
-
 from .errors import (
     InvalidTransformTarget,
     ParseError,
@@ -92,7 +90,6 @@ class TopologyGraph:
     # index, adjacency and routing (below) are derived; excluded from
     # equality so that a reloaded graph compares equal on declarations alone.
     index: dict = field(default_factory=dict, compare=False, repr=False)
-    adjacency: np.ndarray = field(default=None, compare=False, repr=False)
 
     def node(self, node_id: str) -> Node:
         if node_id not in self.index:
@@ -104,6 +101,18 @@ class TopologyGraph:
         return [l for l in self.links if node_id in (l.endpoint_a, l.endpoint_b)]
 
     @cached_property
+    def adjacency(self):
+        """0/1 int64 adjacency matrix in node declaration order, built on
+        first use, so only callers that read it import numpy."""
+        import numpy as np
+
+        a = np.zeros((len(self.nodes), len(self.nodes)), dtype=np.int64)
+        for l in self.links:
+            i, j = self.index[l.endpoint_a], self.index[l.endpoint_b]
+            a[i, j] = a[j, i] = 1
+        return a
+
+    @cached_property
     def routing(self):
         """The graph's `commcost.RoutingIndex`, built on first use.  Graphs
         are immutable, so it is never invalidated."""
@@ -113,7 +122,7 @@ class TopologyGraph:
 
 
 def build_graph(nodes, links, gdr=False) -> TopologyGraph:
-    """Validate declarations and derive the adjacency matrix."""
+    """Validate declarations and index the nodes by id."""
     nodes = tuple(nodes)
     links = tuple(links)
     index = {}
@@ -151,16 +160,10 @@ def build_graph(nodes, links, gdr=False) -> TopologyGraph:
                 raise ValidationError("lanes only valid on Pcie links")
             if l.lanes not in VALID_LANES:
                 raise ValidationError(f"lanes must be one of {VALID_LANES}")
-    n = len(nodes)
-    a = np.zeros((n, n), dtype=np.int64)
-    for l in links:
-        i, j = index[l.endpoint_a], index[l.endpoint_b]
-        a[i, j] = 1
-        a[j, i] = 1
-    return TopologyGraph(nodes=nodes, links=links, gdr=gdr, index=index, adjacency=a)
+    return TopologyGraph(nodes=nodes, links=links, gdr=gdr, index=index)
 
 
-def adjacency_matrix(g: TopologyGraph) -> np.ndarray:
+def adjacency_matrix(g: TopologyGraph):
     """0/1 adjacency with rows in node declaration order."""
     return g.adjacency.copy()
 

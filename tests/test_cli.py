@@ -394,3 +394,69 @@ def test_bad_level_exit_2(capsys, tmp_path, nvlink4_path, fields, message):
                          "--topo", nvlink4_path, "--level", str(level))
     assert code == 2 and message in err
 
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coverage", "--funding", "1000", "--monthly", "0"],
+     "monthly rent must be finite and > 0"),
+    (["coverage", "--funding", "-1", "--monthly", "10"],
+     "funding amount must be finite and >= 0"),
+    (["coverage", "--funding", "inf", "--monthly", "10"],
+     "funding amount must be finite"),
+    (["coverage", "--funding", "nan", "--monthly", "10"],
+     "funding amount must be finite"),
+    (["coverage", "--funding", "10", "--monthly", "nan"],
+     "monthly rent must be finite"),
+    (["coverage", "--funding", "1e30", "--monthly", "1"],
+     "coverage ratio 1.000e+30 is too large"),
+    (["breakeven", "--monthly", "nan", "--capex", "5"],
+     "monthly rent must be finite"),
+    (["breakeven", "--monthly", "10", "--capex", "-1"],
+     "capex must be finite and >= 0"),
+    (["breakeven", "--monthly", "10", "--capex", "inf"], "capex must be finite"),
+    (["breakeven", "--monthly", "10", "--opex", "nan"],
+     "monthly opex must be finite"),
+    (["breakeven", "--monthly", "1e-300", "--capex", "1e308"],
+     "break-even month count overflows"),
+])
+def test_price_bad_numbers_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "price", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields,message", [
+    ("strategy=parameter_server participants=gpu0,nic0 server=nic0",
+     "server 'nic0' is also a participant"),
+    ("strategy=in_network_aggregation participants=gpu0,gpu1 server=gpu1",
+     "server 'gpu1' is also a participant"),
+    ("strategy=ring_allreduce participants=gpu0,gpu1 server=nic0",
+     "ring_allreduce takes no server"),
+    ("strategy=pipeline_p2p participants=gpu0,gpu1 server=nic0",
+     "pipeline_p2p takes no server"),
+])
+def test_bad_server_exit_2(capsys, tmp_path, fields, message):
+    topo = tmp_path / "dual.topo"
+    topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
+    levels = tmp_path / "levels.txt"
+    levels.write_text(DUAL_SOCKET_LEVELS.strip() + f"\nlevel x {fields} "
+                      "payload=1e6\n")
+    code, out, err = run(capsys, "plan", "--topo", str(topo),
+                         "--levels", str(levels))
+    assert code == 2 and out == ""
+    assert err == f"error: line 6, col 1: level 'x': {message}\n"
+
+
+def test_non_utf8_input_exit_2(capsys, tmp_path, nvlink4_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# comment\nnode a kind=\xffGpu\n")
+    expected = "error: line 2, col 13: not UTF-8: byte 0xff at offset 22\n"
+    levels = tmp_path / "levels.txt"
+    levels.write_text(LEVELS)
+    for argv in (["topo", "validate", str(bad)],
+                 ["plan", "--topo", str(bad), "--levels", str(levels)],
+                 ["plan", "--topo", nvlink4_path, "--levels", str(bad)],
+                 ["stagger", "--flows", str(bad), "--upstream", "16"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", expected), argv

@@ -137,8 +137,9 @@ def test_ina_window_cap():
 def test_ina_requires_network_switch_server():
     lv = ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
                        participants=("gpu0", "gpu1"), payload_bytes=1e9,
-                       server="gpu1")
-    g = load_topology(PAIR)
+                       server="cpu")
+    g = load_topology(PAIR + "node cpu kind=CpuSocket\n"
+                      "link gpu1 cpu kind=Pcie bw=16\n")
     with pytest.raises(MissingServerNode):
         comm_time(lv, g)
 

@@ -139,6 +139,42 @@ def test_adjacency_properties_random():
                                           for j in np.flatnonzero(row)]
 
 
+def link_by_link_adjacency(g):
+    a = np.zeros((len(g.nodes), len(g.nodes)), dtype=np.int64)
+    ids = [n.id for n in g.nodes]
+    for l in g.links:
+        i, j = ids.index(l.endpoint_a), ids.index(l.endpoint_b)
+        a[i, j] = a[j, i] = 1
+    return a
+
+
+def test_adjacency_is_derived_on_first_use(dual_socket):
+    graphs = [dual_socket]
+    for t in (PartitionNic(nic_id="nic0", parts=2), SocketDirect(nic_id="nic0"),
+              EnableGdr(),
+              AttachPcieSwitch(parent_id="cpu1", upstream_lanes=8,
+                               downstream_gpu_ids=("gpu2", "gpu3"),
+                               upstream_bandwidth=8.0, downstream_bandwidth=8.0)):
+        graphs.append(apply_transform(graphs[-1], t))
+    rng = random.Random(11)
+    graphs += [random_graph(rng, connected=False) for _ in range(20)]
+    for g in graphs:
+        assert "adjacency" not in vars(g)
+        a = g.adjacency
+        assert a is g.adjacency
+        assert a.dtype == np.int64
+        assert np.array_equal(a, link_by_link_adjacency(g))
+
+
+def test_equality_ignores_adjacency(dual_socket):
+    text = export_topo(dual_socket)
+    read, unread = load_topology(text), load_topology(text)
+    read.adjacency
+    assert "adjacency" in vars(read) and "adjacency" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert "adjacency" not in repr(read)
+
+
 # ---------------------------------------------------------------------------
 # Transforms
 
