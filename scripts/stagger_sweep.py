@@ -2,8 +2,8 @@
 """Sweep flow counts through the switch simulator and report the benefit of
 greedy stagger offsets versus releasing everything at once.
 
-Writes a CSV with naive/staggered mean completion, peak concurrency, and
-CPU event cost per flow count.
+Writes a CSV with naive/staggered mean completion and peak concurrency per
+flow count.
 """
 
 import argparse
@@ -23,17 +23,14 @@ def main(argv=None) -> int:
                         help="shared upstream bandwidth, GB/s")
     parser.add_argument("--cap", type=float, default=16.0,
                         help="per-flow downstream cap, GB/s")
-    parser.add_argument("--cpu-event-cost", type=float, default=1e-4)
     parser.add_argument("--out", default="-", help="output CSV ('-' = stdout)")
     args = parser.parse_args(argv)
 
-    sw = SwitchModel(upstream_bandwidth=args.upstream, per_flow_cap=args.cap,
-                     cpu_event_cost=args.cpu_event_cost)
+    sw = SwitchModel(upstream_bandwidth=args.upstream, per_flow_cap=args.cap)
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(out)
     writer.writerow(["n_flows", "naive_mean_s", "staggered_mean_s",
-                     "mean_ratio", "naive_peak", "staggered_peak",
-                     "naive_cpu_s", "staggered_cpu_s"])
+                     "mean_ratio", "naive_peak", "staggered_peak"])
     for n in range(1, args.max_flows + 1):
         flows = [Flow(id=f"f{i}", bytes=args.bytes) for i in range(n)]
         naive = simulate(flows, sw)
@@ -42,8 +39,7 @@ def main(argv=None) -> int:
         writer.writerow([n, f"{naive.mean_completion:.6f}",
                          f"{staggered.mean_completion:.6f}",
                          f"{staggered.mean_completion / naive.mean_completion:.6f}",
-                         naive.peak_concurrency, staggered.peak_concurrency,
-                         f"{naive.cpu_cost:.6f}", f"{staggered.cpu_cost:.6f}"])
+                         naive.peak_concurrency, staggered.peak_concurrency])
     if out is not sys.stdout:
         out.close()
     return 0

@@ -14,8 +14,8 @@ import json
 import os
 import sys
 
-from . import contention, parallelism, pricing, topology
-from .errors import ClusterError, ParseError, ValidationError
+from . import contention, lineformat, parallelism, pricing, topology
+from .errors import ClusterError, ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -38,14 +38,7 @@ def _err(text):
 
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        at = exc.start
-        raise ParseError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}",
-                         data.count(b"\n", 0, at) + 1,
-                         at - data.rfind(b"\n", 0, at)) from None
+        return lineformat.decode(fh.read())
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -57,82 +50,67 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Input-file parsers (same key-value line format as topology files)
+# Input-file parsers, in the line format of `clustersmith.lineformat`
 
-
-def _kv_tokens(tokens, line_no):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}", line_no, 1)
-        key, _, value = tok.partition("=")
-        out[key] = value
-    return out
+# level keys taking a number: (key, ParallelLevel field, type)
+_LEVEL_NUMBERS = (("window", "window_packets", int),
+                  ("pkt", "packet_bytes", int),
+                  ("rtt", "rtt_us", float),
+                  ("microbatches", "microbatches", int),
+                  ("activation", "activation_bytes", float))
 
 
 def load_levels(text: str) -> list[parallelism.ParallelLevel]:
-    """`level <name> strategy=<s> participants=a,b,c payload=<bytes> ...`"""
+    """`level <name> strategy=<s> participants=a,b,c payload=<bytes> ...`,
+    in the line format of `clustersmith.lineformat`."""
     levels = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for line in lineformat.records(text):
+        tokens = line.tokens
         if tokens[0] != "level" or len(tokens) < 2:
-            raise ParseError("expected `level <name> key=value ...`", line_no, 1)
-        kv = _kv_tokens(tokens[2:], line_no)
+            raise line.error("expected `level <name> key=value ...`")
+        kv = line.fields(2)
+        if not {"strategy", "participants", "payload"} <= kv.keys():
+            raise line.error("level needs strategy=, participants= and payload=")
+        strategy = line.enum(kv, "strategy", parallelism.Strategy, "strategy")
+        kwargs = {attr: line.number(kv, key, kind)
+                  for key, attr, kind in _LEVEL_NUMBERS if key in kv}
+        if "server" in kv:
+            kwargs["server"] = kv.pop("server")
+        participants = tuple(p for p in kv.pop("participants").split(",") if p)
+        payload = line.number(kv, "payload")
+        line.no_more(kv, "level")
         try:
-            strategy = parallelism.Strategy(kv.pop("strategy"))
-        except (KeyError, ValueError):
-            raise ParseError("missing or unknown strategy=", line_no, 1) from None
-        if "participants" not in kv or "payload" not in kv:
-            raise ParseError("level needs participants= and payload=", line_no, 1)
-        kwargs = {}
-        try:
-            for key, attr, conv in (("server", "server", str),
-                                    ("window", "window_packets", int),
-                                    ("pkt", "packet_bytes", int),
-                                    ("rtt", "rtt_us", float),
-                                    ("microbatches", "microbatches", int),
-                                    ("activation", "activation_bytes", float)):
-                if key in kv:
-                    kwargs[attr] = conv(kv.pop(key))
-            participants = tuple(p for p in kv.pop("participants").split(",")
-                                 if p)
-            payload = float(kv.pop("payload"))
-            if kv:
-                raise ParseError(f"unknown level keys {sorted(kv)}", line_no, 1)
             levels.append(parallelism.ParallelLevel(
                 name=tokens[1], strategy=strategy, participants=participants,
                 payload_bytes=payload, **kwargs))
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(str(exc), line_no, 1) from None
+        except ValidationError as exc:
+            raise line.error(str(exc)) from None
     return levels
 
 
 def load_flows(text: str) -> list[contention.Flow]:
-    """`flow <id> bytes=<n> [release=<s>] [offset=<s>]`"""
+    """`flow <id> bytes=<n> [release=<s>] [offset=<s>]`, in the line format
+    of `clustersmith.lineformat`."""
     flows = []
     ids = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for line in lineformat.records(text):
+        tokens = line.tokens
         if tokens[0] != "flow" or len(tokens) < 3:
-            raise ParseError("expected `flow <id> bytes=<n> ...`", line_no, 1)
+            raise line.error("expected `flow <id> bytes=<n> ...`")
         if tokens[1] in ids:
-            raise ParseError(f"repeated flow id {tokens[1]!r}", line_no, 1)
+            raise line.error(f"repeated flow id {tokens[1]!r}")
         ids.add(tokens[1])
-        kv = _kv_tokens(tokens[2:], line_no)
+        kv = line.fields(2)
+        if "bytes" not in kv:
+            raise line.error("flow needs bytes=")
         try:
             flows.append(contention.Flow(
-                id=tokens[1],
-                bytes=float(kv.pop("bytes")),
-                release=float(kv.pop("release", 0.0)),
-                offset=float(kv.pop("offset", 0.0))))
-        except (KeyError, ValueError, ValidationError) as exc:
-            raise ParseError(str(exc), line_no, 1) from None
-        if kv:
-            raise ParseError(f"unknown flow keys {sorted(kv)}", line_no, 1)
+                id=tokens[1], bytes=line.number(kv, "bytes"),
+                release=line.number(kv, "release", default=0.0),
+                offset=line.number(kv, "offset", default=0.0)))
+        except ValidationError as exc:
+            raise line.error(str(exc)) from None
+        line.no_more(kv, "flow")
     return flows
 
 
@@ -141,12 +119,7 @@ def load_flows(text: str) -> list[contention.Flow]:
 
 
 def cmd_topo(args) -> int:
-    text = _read(args.file)
-    try:
-        g = topology.load_topology(text)
-    except ClusterError as exc:
-        print(_err(f"invalid: {exc}"), file=sys.stderr)
-        return EXIT_DOMAIN
+    g = topology.load_topology(_read(args.file))
     if args.action == "validate":
         print(_ok(f"valid: {len(g.nodes)} nodes, {len(g.links)} links"))
         return EXIT_OK

@@ -52,15 +52,11 @@ class Flow:
 class SwitchModel:
     upstream_bandwidth: float  # GB/s
     per_flow_cap: float        # GB/s
-    cpu_event_cost: float = 0.0  # seconds charged per reallocation event
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0
                    for v in (self.upstream_bandwidth, self.per_flow_cap)):
             raise ValidationError("bandwidths must be finite and > 0")
-        if not (math.isfinite(self.cpu_event_cost)
-                and self.cpu_event_cost >= 0):
-            raise ValidationError("cpu_event_cost must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,6 @@ class SimResult:
     makespan: float
     mean_completion: float
     peak_concurrency: int
-    cpu_cost: float
     events: tuple[EventRecord, ...]
 
 
@@ -127,7 +122,6 @@ def simulate(flows, sw: SwitchModel) -> SimResult:
         makespan=max(times, default=0.0),
         mean_completion=sum(times) / len(times) if times else 0.0,
         peak_concurrency=max((e.active_flows for e in events), default=0),
-        cpu_cost=len(events) * sw.cpu_event_cost,
         events=tuple(events),
     )
 

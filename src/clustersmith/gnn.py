@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lineformat
 from .errors import (DimensionMismatch, EmptyDataset, NonSymmetricInput,
                      ParseError, ValidationError)
 from .parallelism import ParallelLevel, Strategy, comm_time
@@ -393,44 +393,51 @@ def save_model(model: GnnModel) -> str:
 
 
 def load_model(text: str) -> GnnModel:
-    """Parse a model file written by `save_model`.
+    """Parse a model file written by `save_model`, in the line format of
+    `clustersmith.lineformat`: one field per line, its name then its values.
 
     A missing, repeated or unknown field, a value that is not a finite
     number, and a field of the wrong length raise ParseError naming the
     field and its line.
     """
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1] != FORMAT_VERSION:
+    lines = lineformat.records(text)
+    header = next(lines, None)
+    if header is None or header.tokens != FORMAT_VERSION.split():
         raise DimensionMismatch("unrecognized model format header")
     fields = {}
-    for line_no, line in lines[1:]:
-        key = line.split(None, 1)[0]
+    for line in lines:
+        key = line.tokens[0]
         if key in fields:
-            raise ParseError(f"repeated field {key!r}", line_no,
-                             line.index(key) + 1)
-        fields[key] = (line_no, line)
+            raise line.error(f"repeated field {key!r}")
+        fields[key] = line
 
     def values(key, size=None, positive=False):
         if key not in fields:
             raise ParseError(f"missing field {key!r}")
-        line_no, line = fields.pop(key)
+        line = fields.pop(key)
         try:
-            out = [float(t) for t in line.split()[1:]]
+            out = list(map(float, line.tokens[1:]))
         except ValueError:
             out = None
         if (out is None or not all(map(math.isfinite, out))
                 or (positive and min(out, default=1.0) <= 0)):
-            _raise_bad_value(key, line, line_no, positive)
+            for i, token in enumerate(line.tokens[1:], start=1):
+                try:
+                    value = float(token)
+                except ValueError:
+                    raise line.error(f"{key}: not a number: {token!r}",
+                                     i) from None
+                if not math.isfinite(value) or (positive and value <= 0):
+                    raise line.error(f"{key}: {token!r} is not finite"
+                                     + (" and > 0" if positive else ""), i)
         if size is not None and len(out) != size:
-            raise ParseError(f"{key} has {len(out)} values, expected {size}",
-                             line_no, 1)
+            raise line.error(f"{key} has {len(out)} values, expected {size}")
         return out
 
-    dims_line = fields.get("dims", (None,))[0]
+    dims_line = fields.get("dims")
     dims = values("dims", positive=True)
     if len(dims) < 2 or any(d != int(d) for d in dims):
-        raise ParseError("dims needs at least two whole sizes", dims_line, 1)
+        raise dims_line.error("dims needs at least two whole sizes")
     dims = [int(d) for d in dims]
     label_mu, = values("label_mu", 1)
     label_sigma, = values("label_sigma", 1, positive=True)
@@ -441,23 +448,7 @@ def load_model(text: str) -> GnnModel:
         biases.append(np.array(values(f"b{i}", fan_out)))
     head_w = np.array(values("head_w", dims[-1]))
     head_b, = values("head_b", 1)
-    if fields:
-        key = min(fields, key=lambda k: fields[k][0])
-        raise ParseError(f"unknown field {key!r}", fields[key][0], 1)
+    for key, line in fields.items():
+        raise line.error(f"unknown field {key!r}")
     return GnnModel(weights=weights, biases=biases, head_w=head_w,
                     head_b=head_b, label_mu=label_mu, label_sigma=label_sigma)
-
-
-def _raise_bad_value(key, line, line_no, positive):
-    """ParseError at the first value on a model-file line that is not a
-    finite number (or, if `positive`, not > 0)."""
-    for m in list(re.finditer(r"\S+", line))[1:]:
-        try:
-            value = float(m.group())
-        except ValueError:
-            raise ParseError(f"{key}: not a number: {m.group()!r}",
-                             line_no, m.start() + 1) from None
-        if not math.isfinite(value) or (positive and value <= 0):
-            raise ParseError(f"{key}: {m.group()!r} is not finite"
-                             + (" and > 0" if positive else ""),
-                             line_no, m.start() + 1)

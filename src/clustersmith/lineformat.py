@@ -1,0 +1,90 @@
+"""The line format of topology, level, flow and model files.
+
+A line holds whitespace-separated tokens; `#` starts a comment, and lines
+with no token are skipped.  Leading positional tokens are followed by
+`key=value` tokens, with neither side empty and no key repeated.  Errors
+are ParseErrors at the line and 1-based column of the token at fault, or
+of the line's first token for the whole declaration.  A column is found
+only when its error is raised, so well-formed input never pays for it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ParseError
+
+
+def decode(data: bytes) -> str:
+    """`data` as UTF-8 text; a ParseError at the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        raise ParseError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}",
+                         data.count(b"\n", 0, at) + 1,
+                         at - data.rfind(b"\n", 0, at)) from None
+
+
+def records(text: str):
+    """A `Line` for each line of `text` that holds a token, in file order."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if tokens:
+            yield Line(no, body, tokens)
+
+
+@dataclass(slots=True)
+class Line:
+    no: int            # 1-based line number
+    text: str          # the line without its comment
+    tokens: list[str]
+
+    def error(self, message: str, at: int | str = 0) -> ParseError:
+        """A ParseError at token `at`: an index, or a `key=value` token's key."""
+        if isinstance(at, str):
+            prefix = at + "="
+            at = max(i for i, t in enumerate(self.tokens) if t.startswith(prefix))
+        col = 0
+        for token in self.tokens[:at + 1]:
+            start = self.text.index(token, col)
+            col = start + len(token)
+        return ParseError(message, self.no, start + 1)
+
+    def fields(self, start: int) -> dict:
+        """The `key=value` tokens from index `start` on, as {key: value}."""
+        out = {}
+        for i, token in enumerate(self.tokens[start:], start):
+            key, eq, value = token.partition("=")
+            if not (key and value) or key in out:
+                raise self.error(f"repeated key {key!r}" if key and value else
+                                 f"malformed key=value {token!r}" if eq else
+                                 f"expected key=value, got {token!r}", i)
+            out[key] = value
+        return out
+
+    def number(self, fields: dict, key: str, kind=float, default=None):
+        """Pop `key` from `fields` as a `kind` (float or int), or `default`
+        if it is absent."""
+        if key not in fields:
+            return default
+        value = fields.pop(key)
+        try:
+            return kind(value)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise self.error(f"{key}: not {what}: {value!r}", key) from None
+
+    def enum(self, fields: dict, key: str, kind, what: str):
+        """Pop `key` from `fields` as a member of the Enum `kind`."""
+        value = fields.pop(key)
+        try:
+            return kind(value)
+        except ValueError:
+            raise self.error(f"unknown {what} {value!r}", key) from None
+
+    def no_more(self, fields: dict, what: str) -> None:
+        """A ParseError at the first key left in `fields`, if any."""
+        for key in fields:
+            raise self.error(f"unknown {what} key {key!r}", key)

@@ -1,9 +1,9 @@
 """Per-parallel-level traffic, communication times, and the time matrix.
 
 Each parallelism strategy expands into a schedule of synchronous phases;
-a phase is a set of point-to-point flows.  Phase k+1 starts when every
-phase-k flow has finished, so a level's communication time is the sum of
-per-phase times.  Within a phase, flows sharing a link (same direction on
+a phase is a set of point-to-point transfers.  Phase k+1 starts when every
+phase-k transfer has finished, so a level's communication time is the sum of
+per-phase times.  Within a phase, transfers sharing a link (same direction on
 duplex links) split its bandwidth equally.
 """
 
@@ -80,7 +80,7 @@ class ParallelLevel:
 
 
 @dataclass(frozen=True)
-class Flow:
+class Transfer:
     src: str
     dst: str
     bytes: float
@@ -88,11 +88,11 @@ class Flow:
 
 @dataclass(frozen=True)
 class TrafficAssignment:
-    phases: tuple[tuple[Flow, ...], ...]
+    phases: tuple[tuple[Transfer, ...], ...]
 
 
 def traffic_for_level(level: ParallelLevel) -> TrafficAssignment:
-    """Expand a level into its per-phase flow sets."""
+    """Expand a level into its per-phase transfer sets."""
     n = level.n
     if n < 1:
         raise TooFewParticipants("level needs at least one participant")
@@ -102,19 +102,19 @@ def traffic_for_level(level: ParallelLevel) -> TrafficAssignment:
     m = level.payload_bytes
     if level.strategy == Strategy.RING_ALLREDUCE:
         chunk = m / n
-        phase = tuple(Flow(p[i], p[(i + 1) % n], chunk) for i in range(n))
+        phase = tuple(Transfer(p[i], p[(i + 1) % n], chunk) for i in range(n))
         return TrafficAssignment(phases=tuple(phase for _ in range(2 * (n - 1))))
     if level.strategy in _SERVER_KINDS:
         if level.server is None:
             raise MissingServerNode(
                 f"{level.strategy.value} needs a server= node"
             )
-        up = tuple(Flow(w, level.server, m) for w in p)
-        down = tuple(Flow(level.server, w, m) for w in p)
+        up = tuple(Transfer(w, level.server, m) for w in p)
+        down = tuple(Transfer(level.server, w, m) for w in p)
         return TrafficAssignment(phases=(up, down))
     if level.strategy == Strategy.PIPELINE_P2P:
         phase = tuple(
-            Flow(p[i], p[i + 1], level.activation_bytes) for i in range(n - 1)
+            Transfer(p[i], p[i + 1], level.activation_bytes) for i in range(n - 1)
         )
         return TrafficAssignment(phases=tuple(phase for _ in range(level.microbatches)))
     raise ValueError(f"unknown strategy {level.strategy!r}")
@@ -151,7 +151,7 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
     for phase in traffic.phases:
         if id(phase) in phase_times:
             continue
-        routed = [(flow, resolve_path(g, flow.src, flow.dst)) for flow in phase]
+        routed = [(x, resolve_path(g, x.src, x.dst)) for x in phase]
         # concurrency per link; duplex links contend per direction
         share = {}
         for _, path in routed:
@@ -159,14 +159,14 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
                 key = (id(link), u if link.duplex else None)
                 share[key] = share.get(key, 0) + 1
         phase_time = 0.0
-        for flow, path in routed:
+        for x, path in routed:
             rate = float("inf")
             for link, u in zip(path.links, path.nodes):
                 f = share[(id(link), u if link.duplex else None)]
                 rate = min(rate, link.bandwidth * GB / f)
-            t = (path.total_latency + path.total_b) * US + flow.bytes / rate
+            t = (path.total_latency + path.total_b) * US + x.bytes / rate
             if window_cap is not None:
-                t = max(t, flow.bytes / window_cap)
+                t = max(t, x.bytes / window_cap)
             phase_time = max(phase_time, t)
         phase_times[id(phase)] = phase_time
     return [phase_times[id(phase)] for phase in traffic.phases]

@@ -13,7 +13,6 @@ import csv
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
-from importlib import resources
 
 from .errors import NeverBreaksEven, ValidationError
 
@@ -117,6 +116,8 @@ def load_tables():
     Quote rows are (table, RentalQuote, printed ratios keyed by funding
     column).
     """
+    from importlib import resources  # only the bundled tables need it
+
     text = resources.files("clustersmith.data").joinpath("reference_tables.csv").read_text()
     fundings = []
     quotes = []

@@ -5,7 +5,7 @@ chiplet dies, GPUs, PCIe switches, NICs, ...) joined by interconnect
 links carrying bandwidth/latency attributes.  Graphs are immutable after
 construction; transforms return new graphs.
 
-File format (UTF-8, line oriented, ``#`` starts a comment)::
+File format (UTF-8, in the line format of `clustersmith.lineformat`)::
 
     node <id> kind=<Kind> [socket=<int>] [key=value ...]
     link <idA> <idB> kind=<Kind> bw=<GB/s> [lat=<us>] [lanes=<n>] [b=<us>]
@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 
+from . import lineformat
 from .errors import (
     InvalidTransformTarget,
-    ParseError,
     TransformConflict,
     UnknownNode,
     ValidationError,
@@ -182,109 +181,52 @@ def _unknown(v):
 # Parsing
 
 
-def _parse_kv(token, line_no, col):
-    if "=" not in token:
-        raise ParseError(f"expected key=value, got {token!r}", line_no, col)
-    key, _, value = token.partition("=")
-    if not key or not value:
-        raise ParseError(f"malformed key=value {token!r}", line_no, col)
-    return key, value
-
-
-def _parse_float(value, what, line_no, col):
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"{what}: not a number: {value!r}", line_no, col) from None
-
-
 def load_topology(text: str) -> TopologyGraph:
-    """Parse topology-file content into a validated graph."""
+    """Parse topology-file content, in the line format of
+    `clustersmith.lineformat`, into a validated graph."""
     nodes, links = [], []
     gdr = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        cols = [line.index(t) + 1 for t in tokens]  # 1-based token start
-        head = tokens[0]
+    for line in lineformat.records(text):
+        head, tokens = line.tokens[0], line.tokens
         if head == "node":
             if len(tokens) < 3:
-                raise ParseError("node needs <id> kind=<Kind>", line_no, cols[0])
-            node_id = tokens[1]
-            kind = None
-            socket = None
-            labels = []
-            for tok, col in zip(tokens[2:], cols[2:]):
-                key, value = _parse_kv(tok, line_no, col)
-                if key == "kind":
-                    try:
-                        kind = NodeKind(value)
-                    except ValueError:
-                        raise ValidationError(f"unknown node kind {value!r}") from None
-                elif key == "socket":
-                    try:
-                        socket = int(value)
-                    except ValueError:
-                        raise ParseError(f"socket: not an integer: {value!r}",
-                                         line_no, col) from None
-                else:
-                    labels.append((key, value))
-            if kind is None:
-                raise ParseError("node missing kind=", line_no, cols[0])
-            nodes.append(Node(id=node_id, kind=kind, socket_index=socket,
-                              labels=tuple(labels)))
+                raise line.error("node needs <id> kind=<Kind>")
+            kv = line.fields(2)
+            if "kind" not in kv:
+                raise line.error("node missing kind=")
+            kind = line.enum(kv, "kind", NodeKind, "node kind")
+            socket = line.number(kv, "socket", int)
+            nodes.append(Node(id=tokens[1], kind=kind, socket_index=socket,
+                              labels=tuple(kv.items())))
         elif head == "link":
             if len(tokens) < 4:
-                raise ParseError("link needs <idA> <idB> kind= bw=", line_no, cols[0])
-            a, b = tokens[1], tokens[2]
-            kind = bw = None
-            lat = 0.0
-            b_us = 0.0
-            lanes = None
-            duplex = True
-            for tok, col in zip(tokens[3:], cols[3:]):
-                key, value = _parse_kv(tok, line_no, col)
-                if key == "kind":
-                    try:
-                        kind = LinkKind(value)
-                    except ValueError:
-                        raise ValidationError(f"unknown link kind {value!r}") from None
-                elif key == "bw":
-                    bw = _parse_float(value, "bw", line_no, col)
-                elif key == "lat":
-                    lat = _parse_float(value, "lat", line_no, col)
-                elif key == "b":
-                    b_us = _parse_float(value, "b", line_no, col)
-                elif key == "lanes":
-                    try:
-                        lanes = int(value)
-                    except ValueError:
-                        raise ParseError(f"lanes: not an integer: {value!r}",
-                                         line_no, col) from None
-                elif key == "duplex":
-                    if value not in ("true", "false"):
-                        raise ParseError("duplex must be true|false", line_no, col)
-                    duplex = value == "true"
-                else:
-                    raise ValidationError(f"unknown link key {key!r}")
-            if kind is None or bw is None:
-                raise ParseError("link missing kind= or bw=", line_no, cols[0])
-            links.append(Link(endpoint_a=a, endpoint_b=b, kind=kind, bandwidth=bw,
-                              latency=lat, lanes=lanes, extra_overhead_b=b_us,
-                              duplex=duplex))
+                raise line.error("link needs <idA> <idB> kind= bw=")
+            kv = line.fields(3)
+            if "kind" not in kv or "bw" not in kv:
+                raise line.error("link missing kind= or bw=")
+            links.append(Link(
+                endpoint_a=tokens[1], endpoint_b=tokens[2],
+                kind=line.enum(kv, "kind", LinkKind, "link kind"),
+                bandwidth=line.number(kv, "bw"),
+                latency=line.number(kv, "lat", default=0.0),
+                lanes=line.number(kv, "lanes", int),
+                extra_overhead_b=line.number(kv, "b", default=0.0),
+                duplex=_bool(line, kv, "duplex", True)))
+            line.no_more(kv, "link")
         elif head == "flag":
-            for tok, col in zip(tokens[1:], cols[1:]):
-                key, value = _parse_kv(tok, line_no, col)
-                if key != "gdr":
-                    raise ValidationError(f"unknown flag {key!r}")
-                if value not in ("true", "false"):
-                    raise ParseError("gdr must be true|false", line_no, col)
-                gdr = value == "true"
+            kv = line.fields(1)
+            gdr = _bool(line, kv, "gdr", gdr)
+            line.no_more(kv, "flag")
         else:
-            raise ParseError(f"unknown directive {head!r}", line_no, cols[0])
+            raise line.error(f"unknown directive {head!r}")
     return build_graph(nodes, links, gdr=gdr)
+
+
+def _bool(line, kv, key, default):
+    value = kv.pop(key, "true" if default else "false")
+    if value not in ("true", "false"):
+        raise line.error(f"{key} must be true|false", key)
+    return value == "true"
 
 
 # ---------------------------------------------------------------------------
@@ -467,5 +409,7 @@ PRESET_NAMES = ("nvlink4.topo", "dual-socket-pcie-switch.topo")
 
 
 def load_preset(name: str) -> TopologyGraph:
+    from importlib import resources  # only presets read bundled files
+
     text = resources.files("clustersmith.presets").joinpath(name).read_text()
     return load_topology(text)

@@ -98,8 +98,7 @@ def test_acceptance_3_contention_oracle():
 
 
 def test_acceptance_4_stagger_benefit():
-    sw = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=16.0,
-                     cpu_event_cost=0.0)
+    sw = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=16.0)
     for n in range(2, 9):
         flows = [Flow(id=f"f{i}", bytes=16e9) for i in range(n)]
         naive = simulate(flows, sw)

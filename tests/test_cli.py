@@ -53,7 +53,7 @@ def test_non_finite_link_numbers_rejected(capsys, tmp_path, key, value):
                  + " ".join(f"{k}={v}" for k, v in numbers.items()) + "\n")
     code, _, err = run(capsys, "topo", "validate", str(p))
     assert code == 2
-    assert f"invalid: link a-b: {key} must be finite" in err
+    assert f"error: link a-b: {key} must be finite" in err
     levels = tmp_path / "levels.txt"
     levels.write_text("level r strategy=ring_allreduce participants=a,b payload=1e9\n")
     code, _, err = run(capsys, "plan", "--topo", str(p), "--levels", str(levels))
@@ -365,8 +365,6 @@ def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
     ("participants=gpu0,gpu1 payload=nan", "payload_bytes must be finite"),
     ("participants=gpu0,gpu1 payload=inf", "payload_bytes must be finite"),
     ("participants=gpu0,gpu1 payload=-5", "payload_bytes must be finite"),
-    ("participants=gpu0,gpu1 payload=abc", "could not convert"),
-    ("participants=gpu0,gpu1 payload=1e9 window=x", "invalid literal"),
     ("participants=gpu0,gpu1 payload=1e9 activation=nan",
      "activation_bytes must be finite and >= 0"),
     ("participants=gpu0,gpu1 payload=1e9 rtt=0", "rtt_us must be finite and > 0"),

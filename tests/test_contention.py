@@ -47,20 +47,13 @@ def test_offset_staggering_example():
 def test_empty_flow_list():
     res = simulate([], SW16)
     assert res == SimResult(completions={}, makespan=0.0, mean_completion=0.0,
-                            peak_concurrency=0, cpu_cost=0.0, events=())
+                            peak_concurrency=0, events=())
 
 
 def test_per_flow_cap_limits_solo_rate():
     sw = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=4.0)
     res = simulate([Flow(id="f0", bytes=8e9)], sw)
     assert res.completions["f0"] == pytest.approx(2.0)
-
-
-def test_cpu_cost_counts_events():
-    sw = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=16.0,
-                     cpu_event_cost=0.5)
-    res = simulate([Flow(id="f0", bytes=1e9), Flow(id="f1", bytes=1e9)], sw)
-    assert res.cpu_cost == pytest.approx(4 * 0.5)  # 2 starts + 2 finishes
 
 
 def test_release_delays_start():
@@ -294,8 +287,8 @@ def test_flow_rejects_bad_numbers(kwargs):
 @pytest.mark.parametrize("kwargs", [
     {"upstream_bandwidth": math.nan}, {"upstream_bandwidth": math.inf},
     {"upstream_bandwidth": 0.0}, {"per_flow_cap": math.nan},
-    {"per_flow_cap": -4.0}, {"cpu_event_cost": math.nan},
-    {"cpu_event_cost": -1.0},
+    {"per_flow_cap": -4.0}, {"per_flow_cap": math.inf},
+    {"upstream_bandwidth": -16.0},
 ])
 def test_switch_rejects_bad_numbers(kwargs):
     with pytest.raises(ValidationError):

@@ -1,0 +1,141 @@
+"""The shared line format: exact error positions in every input format, and
+a fuzz test that mutates valid topology, level, flow and model files."""
+
+import contextlib
+import io
+import re
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clustersmith import gnn
+from clustersmith.cli import main
+from clustersmith.lineformat import records
+
+PRESETS = resources.files("clustersmith.presets")
+DUAL = PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text()
+LEVEL = "level r strategy=ring_allreduce participants=a,b "
+LEVELS = """
+level r4 strategy=ring_allreduce participants=gpu0,gpu1,gpu2,gpu3 payload=10e9
+level ps strategy=parameter_server participants=gpu0,gpu1,gpu2,gpu3 server=nic0 payload=1e9  # GPUs to the NIC
+level pipe strategy=pipeline_p2p participants=gpu0,gpu1,gpu2 payload=0 microbatches=4 activation=1e8
+"""
+FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=4e9 release=0.01\n# a comment\nflow f2 bytes=1e9\n"
+MODEL = gnn.save_model(gnn.init_model(seed=0))
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def argv_for(kind, path, d):
+    """A command that reads `path` as a `kind` file, the rest from `d`."""
+    if kind == "topo":
+        return ["plan", "--topo", path, "--levels", str(d / "levels.txt")]
+    if kind == "levels":
+        return ["plan", "--topo", str(d / "dual.topo"), "--levels", path]
+    if kind == "flows":
+        return ["stagger", "--flows", path, "--upstream", "16", "--cap", "10"]
+    return ["gnn", "predict", "--model", path, "--topo", str(d / "dual.topo"),
+            "--level", str(d / "level.txt"), "--compare"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "dual.topo").write_text(DUAL)
+    (d / "levels.txt").write_text(LEVELS)
+    (d / "level.txt").write_text(LEVELS.split("\n")[1] + "\n")
+    return d
+
+
+def test_records_skip_comments_and_blank_lines():
+    text = "# header\n\n  a b=1  # note\n\t\nc#d\n"
+    assert [(line.no, line.tokens) for line in records(text)] == [
+        (3, ["a", "b=1"]), (5, ["c"])]
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("topo", "node box kind=Gpu x", "line 1, col 19: expected key=value, got 'x'"),
+    ("topo", "  \tnode box kind=Gpu x  # tab", "line 1, col 22: expected key=value"),
+    ("topo", "node a kind=Quantum", "line 1, col 8: unknown node kind 'Quantum'"),
+    ("topo", "node a kind=Gpu kind=Nic", "line 1, col 17: repeated key 'kind'"),
+    ("topo", "link a b kind=NvLink bw=1 bw=50", "line 1, col 27: repeated key 'bw'"),
+    ("topo", "node a kind=Gpu\nlink a b kind=Pcie bw=5 color=red",
+     "line 2, col 25: unknown link key 'color'"),
+    ("topo", "node a kind=Gpu socket=", "line 1, col 17: malformed key=value 'socket='"),
+    ("levels", LEVEL + "payload=abc", "line 1, col 50: payload: not a number: 'abc'"),
+    ("levels", LEVEL + "payload=1 microbatches=2.5",
+     "line 1, col 60: microbatches: not an integer: '2.5'"),
+    ("levels", LEVEL + "payload=1e9 window=x", "line 1, col 62: window: not an integer: 'x'"),
+    ("levels", LEVEL + "payload=1 payload=2", "line 1, col 60: repeated key 'payload'"),
+    ("flows", "flow f bytes=1e9 speed=3", "line 1, col 18: unknown flow key 'speed'"),
+    ("flows", "flow f bytes=1e9 bytes=2e9", "line 1, col 18: repeated key 'bytes'"),
+    ("model", "\n".join(MODEL.splitlines()[:2] + ["label_mu x"]
+                        + MODEL.splitlines()[3:]),
+     "line 3, col 10: label_mu: not a number: 'x'"),
+], ids=["topo-not-kv", "topo-tab-and-comment", "topo-unknown-kind",
+        "topo-repeated-kind", "topo-repeated-bw", "topo-unknown-link-key",
+        "topo-empty-value", "levels-payload-not-number",
+        "levels-microbatches-not-integer", "levels-window-not-integer",
+        "levels-repeated-payload", "flows-unknown-key", "flows-repeated-bytes",
+        "model-not-number"])
+def test_errors_name_line_and_column(tmp_path, inputs, kind, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(argv_for(kind, str(path), inputs))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_error_column_is_exact_for_repeated_substrings():
+    line = next(records("x x=1 xx=2 y=3"))
+    for at, col in ((0, 1), (1, 3), (2, 7), (3, 12), ("x", 3), ("xx", 7)):
+        assert line.error("m", at).column == col
+    # a positional token that looks like `key=value` is not the key's token
+    assert next(records("node a=b a=c")).error("m", "a").column == 10
+
+
+def targets(data: bytes):
+    """Spans of every token, and of the value of every `key=value` token."""
+    spans = [m.span() for m in re.finditer(rb"\S+", data)]
+    return spans + [m.span(1) for m in re.finditer(rb"[^\s=]=(\S+)", data)]
+
+
+def prints_nan(out: str, data: bytes) -> bool:
+    """Whether stdout shows a NaN; flow ids and level names, which are
+    echoed as given, do not count."""
+    names = {t[1] for t in map(str.split, data.decode(errors="replace").splitlines())
+             if len(t) > 1 and t[0] in ("flow", "level")}
+    return "nan" in set(re.split(r"[\s=(),:]+", out)) - names
+
+
+FILES = {"topo": DUAL, "levels": LEVELS, "flows": FLOWS, "model": MODEL}
+REPLACEMENTS = [b"nan", b"x", b"=", b"k=", b"\xff"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(FILES)), data=st.data())
+def test_mutated_inputs_exit_0_or_2(inputs, kind, data):
+    raw = FILES[kind].encode()
+    start, end = data.draw(st.sampled_from(targets(raw)), label="target")
+    edit = data.draw(st.sampled_from(["drop", "duplicate"] + REPLACEMENTS),
+                     label="edit")
+    if edit == "drop":
+        raw = raw[:start] + raw[end:]
+    elif edit == "duplicate":
+        raw = raw[:end] + b" " + raw[start:]
+    else:
+        raw = raw[:start] + edit + raw[end:]
+    path = inputs / f"mutated.{kind}"
+    path.write_bytes(raw)
+    code, out, err = run(argv_for(kind, str(path), inputs))
+    assert code in (0, 2), err
+    assert "Traceback" not in err and not prints_nan(out, raw)
+    if code == 2:
+        assert err.startswith("error: ") and out == ""

@@ -1,5 +1,6 @@
-"""Start-up cost: only `gnn` imports numpy, and `main` builds its parser
-once per process without carrying state from one call to the next."""
+"""Start-up cost: only `gnn` imports numpy, only reading a bundled file
+imports `importlib.resources`, and `main` builds its parser once per
+process without carrying state from one call to the next."""
 
 import contextlib
 import io
@@ -87,6 +88,11 @@ def test_cli_import_leaves_numpy_out():
     out = python("-c", "import sys; sys.path.insert(0, sys.argv[1]); "
                  "import clustersmith.cli; print('numpy' in sys.modules)", SRC)
     assert out == "False\n"
+    # -S: a site-packages .pth file may import pathlib on its own
+    out = python("-S", "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import clustersmith.cli; print([m for m in "
+                 "('importlib.resources', 'pathlib') if m in sys.modules])", SRC)
+    assert out == "[]\n"
 
 
 def test_commands_run_without_numpy(capsys, tmp_path, inputs):

@@ -65,7 +65,7 @@ def test_nvlink4_preset(nvlink4):
 
 @pytest.mark.parametrize("bad,exc", [
     ("node a kind=Gpu\nnode a kind=Gpu", ValidationError),          # dup id
-    ("node a kind=Quantum", ValidationError),                       # bad kind
+    ("node a kind=Quantum", ParseError),                            # bad kind
     ("node a kind=Gpu\nlink a a kind=Pcie bw=5", ValidationError),  # self-link
     ("node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=Pcie bw=0",
      ValidationError),                                              # bw <= 0
@@ -74,7 +74,7 @@ def test_nvlink4_preset(nvlink4):
     ("node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=Pcie bw=5 lanes=3",
      ValidationError),                                              # bad lane count
     ("node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=Pcie bw=5 color=red",
-     ValidationError),                                              # unknown link key
+     ParseError),                                                   # unknown link key
     ("widget a", ParseError),
     ("node a", ParseError),
     ("link a b kind=Pcie", ParseError),
