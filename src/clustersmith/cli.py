@@ -15,25 +15,25 @@ import os
 import sys
 
 from . import contention, lineformat, parallelism, pricing, topology
-from .errors import ClusterError, ValidationError
+from .errors import ClusterError
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 
 
-def _color(text: str, code: str) -> str:
-    if os.environ.get("CLUSTERSMITH_NO_COLOR") or not sys.stdout.isatty():
+def _color(text: str, code: str, stream) -> str:
+    if os.environ.get("CLUSTERSMITH_NO_COLOR") or not stream.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
 def _ok(text):
-    return _color(text, "32")
+    print(_color(text, "32", sys.stdout))
 
 
 def _err(text):
-    return _color(text, "31")
+    print(_color(text, "31", sys.stderr), file=sys.stderr)
 
 
 def _read(path: str) -> str:
@@ -79,12 +79,9 @@ def load_levels(text: str) -> list[parallelism.ParallelLevel]:
         participants = tuple(p for p in kv.pop("participants").split(",") if p)
         payload = line.number(kv, "payload")
         line.no_more(kv, "level")
-        try:
-            levels.append(parallelism.ParallelLevel(
-                name=tokens[1], strategy=strategy, participants=participants,
-                payload_bytes=payload, **kwargs))
-        except ValidationError as exc:
-            raise line.error(str(exc)) from None
+        levels.append(line.build(
+            parallelism.ParallelLevel, name=tokens[1], strategy=strategy,
+            participants=participants, payload_bytes=payload, **kwargs))
     return levels
 
 
@@ -103,13 +100,10 @@ def load_flows(text: str) -> list[contention.Flow]:
         kv = line.fields(2)
         if "bytes" not in kv:
             raise line.error("flow needs bytes=")
-        try:
-            flows.append(contention.Flow(
-                id=tokens[1], bytes=line.number(kv, "bytes"),
-                release=line.number(kv, "release", default=0.0),
-                offset=line.number(kv, "offset", default=0.0)))
-        except ValidationError as exc:
-            raise line.error(str(exc)) from None
+        flows.append(line.build(
+            contention.Flow, id=tokens[1], bytes=line.number(kv, "bytes"),
+            release=line.number(kv, "release", default=0.0),
+            offset=line.number(kv, "offset", default=0.0)))
         line.no_more(kv, "flow")
     return flows
 
@@ -121,7 +115,7 @@ def load_flows(text: str) -> list[contention.Flow]:
 def cmd_topo(args) -> int:
     g = topology.load_topology(_read(args.file))
     if args.action == "validate":
-        print(_ok(f"valid: {len(g.nodes)} nodes, {len(g.links)} links"))
+        _ok(f"valid: {len(g.nodes)} nodes, {len(g.links)} links")
         return EXIT_OK
     if args.format == "dot":
         _write_out(topology.export_dot(g), args.out)
@@ -176,10 +170,9 @@ def cmd_price(args) -> int:
                 print(f"{c.table} {c.provider} vs {c.funding_label}: "
                       f"computed {c.computed:.2f} printed {c.printed:.2f}")
             if worst > 0.01 + 1e-9:
-                print(_err(f"mismatch beyond 0.01 (max {worst:.4f})"),
-                      file=sys.stderr)
+                _err(f"mismatch beyond 0.01 (max {worst:.4f})")
                 return EXIT_DOMAIN
-            print(_ok(f"{len(cells)} cells within 0.01"))
+            _ok(f"{len(cells)} cells within 0.01")
             return EXIT_OK
         if args.funding is None or args.monthly is None:
             raise ClusterError("coverage needs --funding and --monthly "
@@ -301,10 +294,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ClusterError as exc:
-        print(_err(f"error: {exc}"), file=sys.stderr)
+        _err(f"error: {exc}")
         return EXIT_DOMAIN
     except OSError as exc:
-        print(_err(f"i/o error: {exc}"), file=sys.stderr)
+        _err(f"i/o error: {exc}")
         return EXIT_IO
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .commcost import GB
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class Flow:
     offset: float = 0.0   # seconds of added stagger
 
     def __post_init__(self):
-        if not (math.isfinite(self.bytes) and self.bytes > 0):
-            raise ValidationError(
-                f"flow {self.id!r}: bytes must be finite and > 0")
-        if not all(math.isfinite(v) and v >= 0
-                   for v in (self.release, self.offset)):
-            raise ValidationError(
-                f"flow {self.id!r}: release/offset must be finite and >= 0")
+        try:
+            check_number("bytes", self.bytes, positive=True)
+            check_number("release", self.release)
+            check_number("offset", self.offset)
+        except ValidationError as exc:
+            raise ValidationError(f"flow {self.id!r}: {exc}") from None
 
     @property
     def start(self) -> float:
@@ -54,9 +53,8 @@ class SwitchModel:
     per_flow_cap: float        # GB/s
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.upstream_bandwidth, self.per_flow_cap)):
-            raise ValidationError("bandwidths must be finite and > 0")
+        check_number("upstream_bandwidth", self.upstream_bandwidth, positive=True)
+        check_number("per_flow_cap", self.per_flow_cap, positive=True)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lineformat
 from .errors import (DimensionMismatch, EmptyDataset, NonSymmetricInput,
-                     ParseError, ValidationError)
+                     ParseError, ValidationError, check_number)
 from .parallelism import ParallelLevel, Strategy, comm_time
 from .topology import Link, LinkKind, Node, NodeKind, TopologyGraph, build_graph
 
@@ -107,7 +107,7 @@ class GraphBatch:
     while the weights train.
     """
 
-    def __init__(self, pairs, nodes: int | None = None):
+    def __init__(self, pairs):
         pairs = list(pairs)
         if not pairs:
             raise EmptyDataset("a batch needs at least one graph")
@@ -118,11 +118,7 @@ class GraphBatch:
             if h.shape[1] != dim:
                 raise DimensionMismatch("graphs in a batch must share a "
                                         "feature dimension")
-        sizes = [len(h) for _, h in pairs]
-        n = max(sizes) if nodes is None else nodes
-        if n < max(sizes):
-            raise DimensionMismatch(f"cannot pad a {max(sizes)}-node graph "
-                                    f"to {n} nodes")
+        n = max(len(h) for _, h in pairs)
         self.a_hat = np.zeros((len(pairs), n, n))
         ah = np.zeros((len(pairs), n, dim))
         self.pool = np.zeros((len(pairs), n))
@@ -302,10 +298,8 @@ class TrainConfig:
     split: float = 0.8
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValidationError("learning_rate must be finite and >= 0")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
+        check_number("learning_rate", self.learning_rate)
+        check_number("epochs", self.epochs)
         if not 0.0 < self.split < 1.0:
             raise ValidationError("split must lie in (0, 1)")
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .commcost import GB, US, resolve_path
-from .errors import MissingServerNode, TooFewParticipants, ValidationError
+from .errors import (MissingServerNode, TooFewParticipants, ValidationError,
+                     check_number)
 from .topology import NodeKind, TopologyGraph
 
 
@@ -51,28 +51,23 @@ class ParallelLevel:
     activation_bytes: float = 0.0
 
     def __post_init__(self):
-        for key, positive in (("payload_bytes", False),
-                              ("activation_bytes", False),
-                              ("window_packets", True), ("packet_bytes", True),
-                              ("rtt_us", True), ("microbatches", True)):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and (value > 0 if positive
-                                              else value >= 0)):
+        try:
+            for key in ("payload_bytes", "activation_bytes"):
+                check_number(key, getattr(self, key))
+            for key in ("window_packets", "packet_bytes", "rtt_us",
+                        "microbatches"):
+                check_number(key, getattr(self, key), positive=True)
+            repeated = sorted(p for p, k in Counter(self.participants).items()
+                              if k > 1)
+            if repeated:
+                raise ValidationError(f"repeated participants {repeated}")
+            if self.strategy not in _SERVER_KINDS and self.server is not None:
+                raise ValidationError(f"{self.strategy.value} takes no server")
+            if self.server in self.participants:
                 raise ValidationError(
-                    f"level {self.name!r}: {key} must be finite and "
-                    + ("> 0" if positive else ">= 0"))
-        repeated = sorted(p for p, k in Counter(self.participants).items()
-                          if k > 1)
-        if repeated:
-            raise ValidationError(
-                f"level {self.name!r}: repeated participants {repeated}")
-        if self.strategy not in _SERVER_KINDS and self.server is not None:
-            raise ValidationError(
-                f"level {self.name!r}: {self.strategy.value} takes no server")
-        if self.server in self.participants:
-            raise ValidationError(
-                f"level {self.name!r}: server {self.server!r} is also a "
-                "participant")
+                    f"server {self.server!r} is also a participant")
+        except ValidationError as exc:
+            raise ValidationError(f"level {self.name!r}: {exc}") from None
 
     @property
     def n(self) -> int:
@@ -86,24 +81,19 @@ class Transfer:
     bytes: float
 
 
-@dataclass(frozen=True)
-class TrafficAssignment:
-    phases: tuple[tuple[Transfer, ...], ...]
-
-
-def traffic_for_level(level: ParallelLevel) -> TrafficAssignment:
-    """Expand a level into its per-phase transfer sets."""
+def traffic_for_level(level: ParallelLevel) -> tuple[tuple[Transfer, ...], ...]:
+    """Expand a level into its phases, each a tuple of transfers."""
     n = level.n
     if n < 1:
         raise TooFewParticipants("level needs at least one participant")
     if n == 1:
-        return TrafficAssignment(phases=())
+        return ()
     p = level.participants
     m = level.payload_bytes
     if level.strategy == Strategy.RING_ALLREDUCE:
         chunk = m / n
         phase = tuple(Transfer(p[i], p[(i + 1) % n], chunk) for i in range(n))
-        return TrafficAssignment(phases=tuple(phase for _ in range(2 * (n - 1))))
+        return tuple(phase for _ in range(2 * (n - 1)))
     if level.strategy in _SERVER_KINDS:
         if level.server is None:
             raise MissingServerNode(
@@ -111,12 +101,12 @@ def traffic_for_level(level: ParallelLevel) -> TrafficAssignment:
             )
         up = tuple(Transfer(w, level.server, m) for w in p)
         down = tuple(Transfer(level.server, w, m) for w in p)
-        return TrafficAssignment(phases=(up, down))
+        return up, down
     if level.strategy == Strategy.PIPELINE_P2P:
         phase = tuple(
             Transfer(p[i], p[i + 1], level.activation_bytes) for i in range(n - 1)
         )
-        return TrafficAssignment(phases=tuple(phase for _ in range(level.microbatches)))
+        return tuple(phase for _ in range(level.microbatches))
     raise ValueError(f"unknown strategy {level.strategy!r}")
 
 
@@ -134,13 +124,14 @@ def _check_server_kind(level: ParallelLevel, g: TopologyGraph) -> None:
 
 def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
     """Outstanding-packet window bound on a worker's aggregation throughput."""
-    return level.window_packets * level.packet_bytes / (level.rtt_us * US)
+    # a float product: two large int fields give inf, not an OverflowError
+    return float(level.window_packets) * level.packet_bytes / (level.rtt_us * US)
 
 
 def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
     """Per-phase seconds for one level on a topology (sum = level total)."""
     _check_server_kind(level, g)
-    traffic = traffic_for_level(level)
+    phases = traffic_for_level(level)
     window_cap = (
         _window_cap_bytes_per_s(level)
         if level.strategy == Strategy.IN_NETWORK_AGGREGATION
@@ -148,7 +139,7 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
     )
     # traffic_for_level repeats one phase tuple many times; price it once
     phase_times = {}  # id(phase) -> seconds
-    for phase in traffic.phases:
+    for phase in phases:
         if id(phase) in phase_times:
             continue
         routed = [(x, resolve_path(g, x.src, x.dst)) for x in phase]
@@ -169,7 +160,7 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
                 t = max(t, x.bytes / window_cap)
             phase_time = max(phase_time, t)
         phase_times[id(phase)] = phase_time
-    return [phase_times[id(phase)] for phase in traffic.phases]
+    return [phase_times[id(phase)] for phase in phases]
 
 
 @dataclass(frozen=True)

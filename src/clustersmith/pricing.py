@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
-from .errors import NeverBreaksEven, ValidationError
-
-
-def _check(what: str, value: float, positive: bool = False) -> None:
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise ValidationError(
-            f"{what} must be finite and " + ("> 0" if positive else ">= 0")
-            + f", got {value!r}")
+from .errors import NeverBreaksEven, ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -30,7 +23,7 @@ class FundingLevel:
     amount: float  # USD
 
     def __post_init__(self):
-        _check("funding amount", self.amount)
+        check_number("funding amount", self.amount)
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,7 @@ class RentalQuote:
     monthly: float  # USD
 
     def __post_init__(self):
-        _check("monthly rent", self.monthly, positive=True)
+        check_number("monthly rent", self.monthly, positive=True)
 
 
 @dataclass(frozen=True)
@@ -48,8 +41,8 @@ class PurchaseOption:
     monthly_opex: float = 0.0
 
     def __post_init__(self):
-        _check("capex", self.capex)
-        _check("monthly opex", self.monthly_opex)
+        check_number("capex", self.capex)
+        check_number("monthly opex", self.monthly_opex)
 
 
 def coverage_months(f: FundingLevel, q: RentalQuote) -> float:
@@ -63,7 +56,7 @@ def coverage_months(f: FundingLevel, q: RentalQuote) -> float:
 
 def tiered_price(base: float, markups) -> float:
     """Final price after each intermediary applies its cost-plus markup."""
-    _check("base price", base)
+    check_number("base price", base)
     price = base
     # one fixed order, so the rounded product does not depend on the order
     # the markups are listed in

@@ -14,7 +14,6 @@ File format (UTF-8, in the line format of `clustersmith.lineformat`)::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -25,6 +24,7 @@ from .errors import (
     TransformConflict,
     UnknownNode,
     ValidationError,
+    check_number,
 )
 
 
@@ -65,6 +65,10 @@ class Node:
     socket_index: int | None = None
     labels: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.kind, NodeKind):
+            raise ValidationError(f"unknown node kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class Link:
@@ -76,6 +80,23 @@ class Link:
     lanes: int | None = None
     extra_overhead_b: float = 0.0  # microseconds, the per-link fixed overhead
     duplex: bool = True
+
+    def __post_init__(self):
+        try:
+            if self.endpoint_a == self.endpoint_b:
+                raise ValidationError("self-link rejected")
+            if not isinstance(self.kind, LinkKind):
+                raise ValidationError(f"unknown link kind {self.kind!r}")
+            check_number("bw", self.bandwidth, positive=True)
+            check_number("lat", self.latency)
+            check_number("b", self.extra_overhead_b)
+            if self.lanes is not None and self.kind != LinkKind.PCIE:
+                raise ValidationError("lanes only valid on Pcie links")
+            if self.lanes not in (None, *VALID_LANES):
+                raise ValidationError(f"lanes must be one of {VALID_LANES}")
+        except ValidationError as exc:
+            raise ValidationError(
+                f"link {self.endpoint_a}-{self.endpoint_b}: {exc}") from None
 
     def other(self, node_id: str) -> str:
         return self.endpoint_b if node_id == self.endpoint_a else self.endpoint_a
@@ -121,44 +142,21 @@ class TopologyGraph:
 
 
 def build_graph(nodes, links, gdr=False) -> TopologyGraph:
-    """Validate declarations and index the nodes by id."""
+    """Index the nodes by id.  Node and Link check their own fields; this
+    checks the rules that span declarations, no repeated node id and no
+    undeclared link endpoint, naming the (declaration, field) in `at`."""
     nodes = tuple(nodes)
     links = tuple(links)
     index = {}
     for n in nodes:
         if n.id in index:
-            raise ValidationError(f"duplicate node id {n.id!r}")
-        if not isinstance(n.kind, NodeKind):
-            raise ValidationError(f"unknown node kind {n.kind!r}")
+            raise ValidationError(f"duplicate node id {n.id!r}", at=(n, "id"))
         index[n.id] = len(index)
     for l in links:
-        for end in (l.endpoint_a, l.endpoint_b):
-            if end not in index:
-                raise ValidationError(f"link endpoint {end!r} is not a declared node")
-        if l.endpoint_a == l.endpoint_b:
-            raise ValidationError(f"self-link on {l.endpoint_a!r} rejected")
-        if not isinstance(l.kind, LinkKind):
-            raise ValidationError(f"unknown link kind {l.kind!r}")
-        for what, value in (("bw", l.bandwidth), ("lat", l.latency),
-                            ("b", l.extra_overhead_b)):
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"link {l.endpoint_a}-{l.endpoint_b}: {what} must be finite, "
-                    f"got {value!r}"
-                )
-        if l.bandwidth <= 0:
-            raise ValidationError(
-                f"link {l.endpoint_a}-{l.endpoint_b}: bandwidth must be > 0"
-            )
-        if l.latency < 0 or l.extra_overhead_b < 0:
-            raise ValidationError(
-                f"link {l.endpoint_a}-{l.endpoint_b}: latency and b must be >= 0"
-            )
-        if l.lanes is not None:
-            if l.kind != LinkKind.PCIE:
-                raise ValidationError("lanes only valid on Pcie links")
-            if l.lanes not in VALID_LANES:
-                raise ValidationError(f"lanes must be one of {VALID_LANES}")
+        for end in ("endpoint_a", "endpoint_b"):
+            if getattr(l, end) not in index:
+                raise ValidationError(f"link endpoint {getattr(l, end)!r} is "
+                                      "not a declared node", at=(l, end))
     return TopologyGraph(nodes=nodes, links=links, gdr=gdr, index=index)
 
 
@@ -169,12 +167,9 @@ def adjacency_matrix(g: TopologyGraph):
 
 def neighborhood(g: TopologyGraph, v: str) -> list[str]:
     """Neighbor ids of v, in declaration order."""
-    row = g.adjacency[g.index[v] if v in g.index else _unknown(v)]
+    g.node(v)
+    row = g.adjacency[g.index[v]]
     return [g.nodes[j].id for j in range(len(g.nodes)) if row[j]]
-
-
-def _unknown(v):
-    raise UnknownNode(f"unknown node {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def _unknown(v):
 def load_topology(text: str) -> TopologyGraph:
     """Parse topology-file content, in the line format of
     `clustersmith.lineformat`, into a validated graph."""
-    nodes, links = [], []
+    nodes, links, lines = [], [], {}  # lines: id(declaration) -> its Line
     gdr = False
     for line in lineformat.records(text):
         head, tokens = line.tokens[0], line.tokens
@@ -196,30 +191,39 @@ def load_topology(text: str) -> TopologyGraph:
                 raise line.error("node missing kind=")
             kind = line.enum(kv, "kind", NodeKind, "node kind")
             socket = line.number(kv, "socket", int)
-            nodes.append(Node(id=tokens[1], kind=kind, socket_index=socket,
-                              labels=tuple(kv.items())))
+            decl = line.build(Node, id=tokens[1], kind=kind, socket_index=socket,
+                              labels=tuple(kv.items()))
+            nodes.append(decl)
         elif head == "link":
             if len(tokens) < 4:
                 raise line.error("link needs <idA> <idB> kind= bw=")
             kv = line.fields(3)
             if "kind" not in kv or "bw" not in kv:
                 raise line.error("link missing kind= or bw=")
-            links.append(Link(
-                endpoint_a=tokens[1], endpoint_b=tokens[2],
+            decl = line.build(
+                Link, endpoint_a=tokens[1], endpoint_b=tokens[2],
                 kind=line.enum(kv, "kind", LinkKind, "link kind"),
                 bandwidth=line.number(kv, "bw"),
                 latency=line.number(kv, "lat", default=0.0),
                 lanes=line.number(kv, "lanes", int),
                 extra_overhead_b=line.number(kv, "b", default=0.0),
-                duplex=_bool(line, kv, "duplex", True)))
+                duplex=_bool(line, kv, "duplex", True))
             line.no_more(kv, "link")
+            links.append(decl)
         elif head == "flag":
             kv = line.fields(1)
             gdr = _bool(line, kv, "gdr", gdr)
             line.no_more(kv, "flag")
+            continue
         else:
             raise line.error(f"unknown directive {head!r}")
-    return build_graph(nodes, links, gdr=gdr)
+        lines[id(decl)] = line
+    try:
+        return build_graph(nodes, links, gdr=gdr)
+    except ValidationError as exc:
+        decl, field = exc.at  # at a node's id or a link's endpoint
+        token = 2 if field == "endpoint_b" else 1
+        raise lines[id(decl)].error(str(exc), token) from exc
 
 
 def _bool(line, kv, key, default):

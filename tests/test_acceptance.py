@@ -150,10 +150,10 @@ def test_acceptance_6_ring_traffic_bytes():
         payload = 8e9
         level = ParallelLevel(name="r", strategy=Strategy.RING_ALLREDUCE,
                               participants=ids, payload_bytes=payload)
-        assignment = traffic_for_level(level)
+        phases = traffic_for_level(level)
         # brute-force oracle: sum each participant's sent bytes per phase
         sent = {i: 0.0 for i in ids}
-        for phase in assignment.phases:
+        for phase in phases:
             for flow in phase:
                 sent[flow.src] += flow.bytes
         expected = 2 * (n - 1) * payload / n

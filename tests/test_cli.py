@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import os
+import sys
 from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustersmith import gnn, parallelism
 from clustersmith.cli import main
@@ -51,14 +56,43 @@ def test_non_finite_link_numbers_rejected(capsys, tmp_path, key, value):
     p = tmp_path / "bad.topo"
     p.write_text("node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=NvLink "
                  + " ".join(f"{k}={v}" for k, v in numbers.items()) + "\n")
-    code, _, err = run(capsys, "topo", "validate", str(p))
-    assert code == 2
-    assert f"error: link a-b: {key} must be finite" in err
+    rule = "> 0" if key == "bw" else ">= 0"
+    expected = (f"error: line 3, col 1: link a-b: {key} must be finite and "
+                f"{rule}, got {value}\n")
+    assert run(capsys, "topo", "validate", str(p)) == (2, "", expected)
     levels = tmp_path / "levels.txt"
     levels.write_text("level r strategy=ring_allreduce participants=a,b payload=1e9\n")
-    code, _, err = run(capsys, "plan", "--topo", str(p), "--levels", str(levels))
-    assert code == 2
-    assert "must be finite" in err and "no route" not in err
+    assert run(capsys, "plan", "--topo", str(p),
+               "--levels", str(levels)) == (2, "", expected)
+
+
+class Stream(io.StringIO):
+    def __init__(self, tty):
+        super().__init__()
+        self.tty = tty
+
+    def isatty(self):
+        return self.tty
+
+
+@pytest.mark.parametrize("out_tty,err_tty", [(True, False), (False, True)])
+def test_colour_follows_the_stream_printed_to(monkeypatch, tmp_path,
+                                              nvlink4_path, out_tty, err_tty):
+    monkeypatch.delenv("CLUSTERSMITH_NO_COLOR")
+    broken = tmp_path / "broken.topo"
+    broken.write_text("node a kind=Gpu\nnode a kind=Gpu\n")
+    for path, to, code, message in (
+            (nvlink4_path, "stdout", "32", "valid: 4 nodes, 6 links"),
+            (str(broken), "stderr", "31",
+             "error: line 2, col 6: duplicate node id 'a'")):
+        streams = {"stdout": Stream(out_tty), "stderr": Stream(err_tty)}
+        for name, stream in streams.items():
+            monkeypatch.setattr(sys, name, stream)
+        main(["topo", "validate", path])
+        printed = {name: stream.getvalue() for name, stream in streams.items()}
+        assert printed.pop(to) == (f"\x1b[{code}m{message}\x1b[0m\n"
+                                   if streams[to].tty else message + "\n")
+        assert list(printed.values()) == [""]  # nothing on the other stream
 
 
 def test_topo_missing_file_is_io_error(capsys):
@@ -153,6 +187,7 @@ def test_plan_evaluates_each_level_and_source_once(capsys, tmp_path, monkeypatch
 
 
 FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=10e9\n"
+BIG = "1" + "0" * 400  # an integer too large for a float
 
 
 def test_stagger_two_flows(capsys, tmp_path):
@@ -207,8 +242,9 @@ def test_stagger_bad_bandwidth_exit_2(capsys, tmp_path, option, value):
     argv = {"--upstream": "16", option: value}
     code, out, err = run(capsys, "stagger", "--flows", str(flows),
                          *[a for kv in argv.items() for a in kv])
+    field = "upstream_bandwidth" if option == "--upstream" else "per_flow_cap"
     assert code == 2 and out == ""
-    assert err == "error: bandwidths must be finite and > 0\n"
+    assert err == f"error: {field} must be finite and > 0, got {float(value)!r}\n"
 
 
 def test_stagger_dropped_options_are_gone(capsys, tmp_path):
@@ -322,7 +358,7 @@ def test_gnn_predict_bad_model_file(capsys, tmp_path, nvlink4_path):
 @pytest.mark.parametrize("argv,message", [
     (["--learning-rate", "-1"], "learning_rate must be finite and >= 0"),
     (["--learning-rate", "nan"], "learning_rate must be finite and >= 0"),
-    (["--epochs", "-3"], "epochs must be >= 0"),
+    (["--epochs", "-3"], "epochs must be finite and >= 0, got -3"),
     (["--learning-rate", "1e6", "--count", "20", "--epochs", "50"],
      "training diverged"),
     (["--count", "1"], "validation needs at least one held-out sample"),
@@ -375,6 +411,11 @@ def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
     ("participants=gpu0,gpu0 payload=1e9", "repeated participants ['gpu0']"),
     ("participants=gpu0,gpu1,gpu0,gpu1 payload=1e9",
      "repeated participants ['gpu0', 'gpu1']"),
+    *(pytest.param(f"participants=gpu0,gpu1 payload=1e9 {key}={BIG}",
+                   f"{field} must be finite and > 0, got an integer too "
+                   "large for a float", id=f"{key}-too-large-for-a-float")
+      for key, field in (("window", "window_packets"), ("pkt", "packet_bytes"),
+                         ("microbatches", "microbatches"))),
 ])
 def test_bad_level_exit_2(capsys, tmp_path, nvlink4_path, fields, message):
     levels = tmp_path / "levels.txt"
@@ -422,6 +463,23 @@ def test_price_bad_numbers_exit_2(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data(), action=st.sampled_from(["coverage", "breakeven"]))
+def test_price_arguments_fuzzed_exit_0_or_2(data, action):
+    values = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308",
+                              "1e-300", BIG, "12.5"])
+    options = (("--funding", "--monthly") if action == "coverage"
+               else ("--capex", "--opex", "--monthly"))
+    argv = ["price", action] + [f"{o}={data.draw(values, label=o)}"
+                                for o in options]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
 @pytest.mark.parametrize("fields,message", [

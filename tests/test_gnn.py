@@ -238,7 +238,7 @@ def test_batched_gradients_equal_sum_of_single_gradients():
     for seed in range(4):
         pairs, targets = _mixed_batch(seed)
         model = _biased_model(seed + 20)
-        batched = batch_gradients(model, GraphBatch(pairs, nodes=12), targets)
+        batched = batch_gradients(model, GraphBatch(pairs), targets)
         singles = [gradients(model, a, h, t) for (a, h), t in zip(pairs, targets)]
         refs = [_reference_gradients(model, a, h, t)
                 for (a, h), t in zip(pairs, targets)]
@@ -281,12 +281,21 @@ def test_batched_mean_loss_matches_central_finite_differences():
 def test_padding_size_changes_nothing():
     pairs, targets = _mixed_batch(5)
     model = _biased_model(5)
-    runs = []
-    for nodes in (12, 20):
-        batch = GraphBatch(pairs, nodes=nodes)
-        assert batch.a_hat.shape == (len(pairs), nodes, nodes)
-        runs.append((gnn._forward(model, batch)[0],
-                     _grad_vector(batch_gradients(model, batch, targets))))
+    ring = np.roll(np.eye(20), 1, axis=1)
+    big = (normalized_adjacency(ring + ring.T),
+           np.random.default_rng(5).uniform(size=(20, gnn.FEATURE_DIM)))
+    runs, widths = [], []
+    # the same batch with one more graph: a copy of the first, or a 20-node
+    # ring that pads every graph to 20 nodes
+    for extra in (pairs[0], big):
+        batch = GraphBatch(pairs + [extra])
+        widths.append(batch.a_hat.shape[1])
+        grad = batch_gradients(model, batch, [*targets, 0.0])
+        # batch gradients sum over graphs, so take the extra graph's away
+        runs.append((gnn._forward(model, batch)[0][:-1],
+                     _grad_vector(grad)
+                     - _grad_vector(gradients(model, *extra, 0.0))))
+    assert widths[0] < widths[1] == 20
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.allclose(runs[0][1], runs[1][1], rtol=0, atol=1e-12)
     assert runs[0][0] == pytest.approx([forward(model, a, h) for a, h in pairs],
@@ -297,8 +306,6 @@ def test_graph_batch_rejects_bad_stacks():
     pairs, _ = _mixed_batch(1)
     with pytest.raises(EmptyDataset):
         GraphBatch([])
-    with pytest.raises(DimensionMismatch):
-        GraphBatch(pairs, nodes=max(len(h) for _, h in pairs) - 1)
     with pytest.raises(DimensionMismatch):
         GraphBatch(pairs + [(np.eye(2), np.zeros((2, 3)))])
 

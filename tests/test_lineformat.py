@@ -62,13 +62,24 @@ def test_records_skip_comments_and_blank_lines():
 
 @pytest.mark.parametrize("kind,text,message", [
     ("topo", "node box kind=Gpu x", "line 1, col 19: expected key=value, got 'x'"),
-    ("topo", "  \tnode box kind=Gpu x  # tab", "line 1, col 22: expected key=value"),
+    ("topo", "  \tnode box kind=Gpu x  # tab",
+     "line 1, col 22: expected key=value, got 'x'"),
     ("topo", "node a kind=Quantum", "line 1, col 8: unknown node kind 'Quantum'"),
     ("topo", "node a kind=Gpu kind=Nic", "line 1, col 17: repeated key 'kind'"),
     ("topo", "link a b kind=NvLink bw=1 bw=50", "line 1, col 27: repeated key 'bw'"),
     ("topo", "node a kind=Gpu\nlink a b kind=Pcie bw=5 color=red",
      "line 2, col 25: unknown link key 'color'"),
     ("topo", "node a kind=Gpu socket=", "line 1, col 17: malformed key=value 'socket='"),
+    ("topo", "node a kind=Gpu\nnode b kind=Gpu\nnode a kind=Gpu",
+     "line 3, col 6: duplicate node id 'a'"),
+    ("topo", "node a kind=Gpu\nlink a z kind=NvLink bw=1",
+     "line 2, col 8: link endpoint 'z' is not a declared node"),
+    ("topo", "node a kind=Gpu\nnode b kind=Gpu\nlink a a kind=Pcie bw=5",
+     "line 3, col 1: link a-a: self-link rejected"),
+    ("topo", "node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=NvLink bw=5 lanes=4",
+     "line 3, col 1: link a-b: lanes only valid on Pcie links"),
+    ("topo", "node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=NvLink bw=nan",
+     "line 3, col 1: link a-b: bw must be finite and > 0, got nan"),
     ("levels", LEVEL + "payload=abc", "line 1, col 50: payload: not a number: 'abc'"),
     ("levels", LEVEL + "payload=1 microbatches=2.5",
      "line 1, col 60: microbatches: not an integer: '2.5'"),
@@ -81,16 +92,16 @@ def test_records_skip_comments_and_blank_lines():
      "line 3, col 10: label_mu: not a number: 'x'"),
 ], ids=["topo-not-kv", "topo-tab-and-comment", "topo-unknown-kind",
         "topo-repeated-kind", "topo-repeated-bw", "topo-unknown-link-key",
-        "topo-empty-value", "levels-payload-not-number",
+        "topo-empty-value", "topo-duplicate-node", "topo-undeclared-endpoint",
+        "topo-self-link", "topo-lanes-on-nvlink", "topo-bw-nan",
+        "levels-payload-not-number",
         "levels-microbatches-not-integer", "levels-window-not-integer",
         "levels-repeated-payload", "flows-unknown-key", "flows-repeated-bytes",
         "model-not-number"])
 def test_errors_name_line_and_column(tmp_path, inputs, kind, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text + "\n")
-    code, out, err = run(argv_for(kind, str(path), inputs))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {message}")
+    assert run(argv_for(kind, str(path), inputs)) == (2, "", f"error: {message}\n")
 
 
 def test_error_column_is_exact_for_repeated_substrings():
@@ -116,7 +127,8 @@ def prints_nan(out: str, data: bytes) -> bool:
 
 
 FILES = {"topo": DUAL, "levels": LEVELS, "flows": FLOWS, "model": MODEL}
-REPLACEMENTS = [b"nan", b"x", b"=", b"k=", b"\xff"]
+REPLACEMENTS = [b"nan", b"x", b"=", b"k=", b"\xff",
+                b"1" + b"0" * 400]  # an integer too large for a float
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

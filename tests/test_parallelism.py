@@ -24,17 +24,17 @@ def ring(n, payload, name="ring", participants=None):
 
 def brute_force_ring_bytes(n, payload):
     """Oracle: sum every per-phase send of each participant."""
-    traffic = traffic_for_level(ring(n, payload))
+    phases = traffic_for_level(ring(n, payload))
     sent = {f"gpu{i}": 0.0 for i in range(n)}
-    for phase in traffic.phases:
+    for phase in phases:
         for flow in phase:
             sent[flow.src] += flow.bytes
     return sent
 
 
 def test_ring_phase_count_and_bytes():
-    traffic = traffic_for_level(ring(4, 1e9))
-    assert len(traffic.phases) == 6
+    phases = traffic_for_level(ring(4, 1e9))
+    assert len(phases) == 6
     sent = brute_force_ring_bytes(4, 1e9)
     assert all(v == pytest.approx(1.5e9) for v in sent.values())
 
@@ -46,8 +46,8 @@ def test_ring_per_participant_total(n, payload):
 
 
 def test_ring_conservation():
-    traffic = traffic_for_level(ring(5, 3e9))
-    for phase in traffic.phases:
+    phases = traffic_for_level(ring(5, 3e9))
+    for phase in phases:
         assert sum(f.bytes for f in phase) == pytest.approx(
             sum(f.bytes for f in phase))  # point-to-point: injected = delivered
         srcs = {f.src for f in phase}
@@ -59,9 +59,9 @@ def test_parameter_server_flows():
     lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
                        participants=("gpu0", "gpu1"), payload_bytes=1e9,
                        server="cpu")
-    traffic = traffic_for_level(lv)
-    assert len(traffic.phases) == 2
-    up, down = traffic.phases
+    phases = traffic_for_level(lv)
+    assert len(phases) == 2
+    up, down = phases
     assert sum(f.bytes for f in up if f.dst == "cpu") == pytest.approx(2e9)
     assert sum(f.bytes for f in down if f.src == "cpu") == pytest.approx(2e9)
 
@@ -77,7 +77,7 @@ def test_degenerate_single_participant():
     for strategy in Strategy:
         lv = ParallelLevel(name="solo", strategy=strategy,
                            participants=("gpu0",), payload_bytes=1e9)
-        assert traffic_for_level(lv).phases == ()
+        assert traffic_for_level(lv) == ()
 
 
 def test_zero_participants_rejected():
@@ -91,9 +91,9 @@ def test_pipeline_phases():
     lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
                        participants=("gpu0", "gpu1", "gpu2"),
                        payload_bytes=0, microbatches=4, activation_bytes=1e8)
-    traffic = traffic_for_level(lv)
-    assert len(traffic.phases) == 4
-    assert all(len(phase) == 2 for phase in traffic.phases)
+    phases = traffic_for_level(lv)
+    assert len(phases) == 4
+    assert all(len(phase) == 2 for phase in phases)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,20 @@ def test_ina_window_cap():
     assert times == pytest.approx([1e9 / cap, 1e9 / cap])
 
 
+def test_ina_window_past_float_range_is_no_bound():
+    # each field fits a float but their product does not: no window bound,
+    # only the 100 GB/s wire
+    lv = ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
+                       participants=("gpu0", "gpu1"), payload_bytes=1e9,
+                       server="tor", window_packets=10 ** 200,
+                       packet_bytes=10 ** 200)
+    g = load_topology(
+        "node gpu0 kind=Gpu\nnode gpu1 kind=Gpu\nnode tor kind=NetworkSwitch\n"
+        "link gpu0 tor kind=Ethernet bw=100\nlink gpu1 tor kind=Ethernet bw=100"
+    )
+    assert comm_time(lv, g) == [0.01, 0.01]
+
+
 def test_ina_requires_network_switch_server():
     lv = ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
                        participants=("gpu0", "gpu1"), payload_bytes=1e9,
@@ -164,8 +178,8 @@ def test_comm_time_at_least_isolation_bound(nvlink4):
     from clustersmith.commcost import path_time, resolve_path
     lv = ring(4, 10e9)
     times = comm_time(lv, nvlink4)
-    traffic = traffic_for_level(lv)
-    for phase, t in zip(traffic.phases, times):
+    phases = traffic_for_level(lv)
+    for phase, t in zip(phases, times):
         bound = max(path_time(f.bytes, resolve_path(nvlink4, f.src, f.dst))
                     for f in phase)
         assert t >= bound - 1e-12

@@ -47,8 +47,10 @@ def test_chain_file():
 
 
 def test_dangling_endpoint_named():
-    with pytest.raises(ValidationError, match="gpu9"):
+    with pytest.raises(ParseError) as info:
         load_topology("node cpu kind=CpuSocket\nlink cpu gpu9 kind=Pcie bw=16")
+    assert str(info.value) == ("line 2, col 10: link endpoint 'gpu9' is not a "
+                               "declared node")
 
 
 def test_nvlink4_preset(nvlink4):
@@ -80,8 +82,54 @@ def test_nvlink4_preset(nvlink4):
     ("link a b kind=Pcie", ParseError),
 ])
 def test_rejects(bad, exc):
-    with pytest.raises(exc):
+    # every rejection names a line; the rule of a declaration, or of
+    # build_graph, raises its ValidationError as the cause
+    with pytest.raises(ParseError) as info:
         load_topology(bad)
+    assert isinstance(info.value.__cause__ or info.value, exc)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"endpoint_b": "a"}, "link a-a: self-link rejected"),
+    ({"kind": "NvLink"}, "link a-b: unknown link kind 'NvLink'"),
+    ({"bandwidth": 0.0}, "link a-b: bw must be finite and > 0, got 0.0"),
+    ({"latency": -1.0}, "link a-b: lat must be finite and >= 0, got -1.0"),
+    ({"extra_overhead_b": float("inf")},
+     "link a-b: b must be finite and >= 0, got inf"),
+    ({"lanes": 4}, "link a-b: lanes only valid on Pcie links"),
+    ({"kind": LinkKind.PCIE, "lanes": 3},
+     "link a-b: lanes must be one of (1, 2, 4, 8, 16)"),
+])
+def test_link_checks_its_own_fields(kwargs, message):
+    with pytest.raises(ValidationError) as info:
+        Link(**{"endpoint_a": "a", "endpoint_b": "b", "kind": LinkKind.NVLINK,
+                "bandwidth": 10.0, **kwargs})
+    assert str(info.value) == message
+
+
+def test_node_checks_its_kind():
+    with pytest.raises(ValidationError, match="^unknown node kind 'Gpu'$"):
+        Node(id="a", kind="Gpu")
+
+
+def test_build_graph_names_the_declaration_at_fault():
+    first, again = (Node(id="a", kind=NodeKind.GPU) for _ in range(2))
+    with pytest.raises(ValidationError, match="^duplicate node id 'a'$") as info:
+        build_graph([first, again], [])
+    assert info.value.at[0] is again and info.value.at[1] == "id"
+    link = Link(endpoint_a="a", endpoint_b="z", kind=LinkKind.NVLINK,
+                bandwidth=1.0)
+    with pytest.raises(ValidationError) as info:
+        build_graph([first], [link])
+    assert info.value.at == (link, "endpoint_b")
+
+
+def test_transform_output_is_checked():
+    g = load_topology(CHAIN)
+    with pytest.raises(ValidationError,
+                       match="^link cpu-cpu_sw: bw must be finite and > 0, got nan$"):
+        apply_transform(g, AttachPcieSwitch("cpu", 16, ("gpu",), float("nan"),
+                                            16.0))
 
 
 def test_parse_error_reports_position():
