@@ -11,10 +11,10 @@ GDR disabled, GPU<->NIC/DPU transfers must pass through host memory; the
 resulting route may legitimately revisit a node (out and back through a
 memory controller), so routes are walks, not necessarily simple paths.
 
-Routes are computed once per graph and reused: each graph keeps a
-`RoutingIndex` (``TopologyGraph.routing``) holding one widest-path pass
-per source and every route resolved so far.  Graphs are immutable, so
-the cache needs no invalidation.
+Each graph keeps a `RoutingIndex` (``TopologyGraph.routing``) that holds
+one widest-path pass per (source, start flag), computed on first use;
+each route is walked from its pass on request.  Graphs are immutable, so
+the passes need no invalidation.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _needs_host_memory(gdr: bool, src_kind: NodeKind, dst_kind: NodeKind) -> boo
 
 
 class RoutingIndex:
-    """Routes of one graph, computed on first use and kept.
+    """Widest-path passes of one graph, computed on first use and kept.
 
     Search runs over states (node, mem_seen), numbered ``2 * node +
     mem_seen``, so the host-memory detour is handled uniformly: the goal
@@ -105,13 +105,6 @@ class RoutingIndex:
             self.adj[i].append((j, link.bandwidth, link))
             self.adj[j].append((i, link.bandwidth, link))
         self._widths = {}  # (source, start flag) -> width per state
-        self._paths = {}   # (src, dst) -> ResolvedPath
-
-    def route(self, src: str, dst: str) -> ResolvedPath:
-        path = self._paths.get((src, dst))
-        if path is None:
-            path = self._paths[(src, dst)] = self._route(src, dst)
-        return path
 
     def _widest_from(self, source: int, flag: int) -> list[float]:
         """Maximum bottleneck bandwidth from (source, flag) to every state;
@@ -135,7 +128,7 @@ class RoutingIndex:
                     heapq.heappush(heap, (-nw, nstate))
         return width
 
-    def _route(self, src: str, dst: str) -> ResolvedPath:
+    def route(self, src: str, dst: str) -> ResolvedPath:
         s, t = self.index[src], self.index[dst]
         constrained = _needs_host_memory(self.gdr, self.kinds[s], self.kinds[t])
         flag = int(not constrained)
@@ -191,7 +184,7 @@ class RoutingIndex:
         return ResolvedPath(
             nodes=tuple(node_seq),
             links=tuple(link_seq),
-            bottleneck_bandwidth=min(l.bandwidth for l in link_seq),
+            bottleneck_bandwidth=bottleneck,  # the walk's narrowest link
             total_latency=sum(l.latency for l in link_seq),
             total_b=sum(l.extra_overhead_b for l in link_seq),
         )
@@ -200,7 +193,7 @@ class RoutingIndex:
 def resolve_path(g: TopologyGraph, src: str, dst: str) -> ResolvedPath:
     """Widest route from src to dst, honoring the host-memory constraint.
 
-    Read from the graph's routing index, so repeated queries cost a lookup.
+    Walked from the widest-path pass kept in the graph's routing index.
     """
     g.node(src)
     g.node(dst)

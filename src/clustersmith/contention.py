@@ -21,7 +21,7 @@ import csv
 import heapq
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .commcost import GB
 from .errors import ValidationError, check_number
@@ -80,6 +80,17 @@ def _rate(sw: SwitchModel, active: int) -> float:
     return min(sw.per_flow_cap, sw.upstream_bandwidth / active) if active else 0.0
 
 
+def _finish(sw: SwitchModel, fid: str, t, nbytes, rate_bps) -> float:
+    """A flow's finish time, t + nbytes / rate_bps; an error unless finite."""
+    finish = t + nbytes / rate_bps if rate_bps else math.inf  # 0.0: never
+    if finish < math.inf:
+        return finish
+    raise ValidationError(
+        f"flow {fid!r}: time on the switch (upstream {sw.upstream_bandwidth!r} "
+        f"GB/s, per-flow cap {sw.per_flow_cap!r} GB/s) is not a finite number "
+        "of seconds")
+
+
 def simulate(flows, sw: SwitchModel) -> SimResult:
     """Run all flows to completion; deterministic for identical inputs."""
     pending = sorted(flows, key=lambda f: (f.start, f.id))
@@ -91,7 +102,7 @@ def simulate(flows, sw: SwitchModel) -> SimResult:
     while i < len(pending) or marks:
         if marks:
             rate_bps = _rate(sw, len(marks)) * GB
-            finish = t + (marks[0][0] - served) / rate_bps
+            finish = _finish(sw, marks[0][1], t, marks[0][0] - served, rate_bps)
         # completions first, then starts, so ties release bandwidth before
         # the next flow sees the switch
         if marks and (i == len(pending) or finish <= pending[i].start):
@@ -143,14 +154,13 @@ def optimize_stagger(flows, sw: SwitchModel) -> dict:
         while f.release + offset < t:  # t - release may not round-trip
             offset = math.nextafter(offset, math.inf)
         offsets[f.id] = offset
-        t = f.release + offset + f.bytes / solo_bps
+        t = _finish(sw, f.id, f.release + offset, f.bytes, solo_bps)
     return {f.id: offsets[f.id] for f in flows}
 
 
 def with_offsets(flows, offsets: dict):
     """Copies of flows with the given stagger offsets applied."""
-    return [Flow(id=f.id, bytes=f.bytes, release=f.release,
-                 offset=offsets.get(f.id, f.offset)) for f in flows]
+    return [replace(f, offset=offsets.get(f.id, f.offset)) for f in flows]
 
 
 def events_to_csv(events) -> str:

@@ -24,6 +24,7 @@ from .topology import Link, LinkKind, Node, NodeKind, TopologyGraph, build_graph
 
 KIND_ORDER = tuple(NodeKind)
 FEATURE_DIM = len(KIND_ORDER) + 4
+SPLIT = 0.8  # share of the samples trained on; the rest validate
 
 FORMAT_VERSION = "clustersmith-gnn v1"
 
@@ -73,18 +74,17 @@ class GnnModel:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
 
-def init_model(seed: int, in_dim: int = FEATURE_DIM, hidden: int = 16,
-               layers: int = 2) -> GnnModel:
-    """Seeded Glorot-uniform initialization."""
+def init_model(seed: int) -> GnnModel:
+    """Seeded Glorot-uniform initialization, FEATURE_DIM -> 16 -> 16."""
     rng = np.random.default_rng(seed)
-    dims = [in_dim] + [hidden] * layers
+    dims = (FEATURE_DIM, 16, 16)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
         r = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-r, r, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    r = np.sqrt(6.0 / (hidden + 1))
-    head_w = rng.uniform(-r, r, size=hidden)
+    r = np.sqrt(6.0 / (dims[-1] + 1))
+    head_w = rng.uniform(-r, r, size=dims[-1])
     return GnnModel(weights=weights, biases=biases, head_w=head_w, head_b=0.0)
 
 
@@ -295,13 +295,10 @@ class TrainConfig:
     learning_rate: float = 5e-2
     epochs: int = 500
     seed: int = 0
-    split: float = 0.8
 
     def __post_init__(self):
         check_number("learning_rate", self.learning_rate)
         check_number("epochs", self.epochs)
-        if not 0.0 < self.split < 1.0:
-            raise ValidationError("split must lie in (0, 1)")
 
 
 def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
@@ -316,7 +313,7 @@ def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
         raise EmptyDataset("training needs at least one sample")
     order = list(range(len(samples)))
     random.Random(cfg.seed).shuffle(order)
-    n_train = max(1, int(round(cfg.split * len(order))))
+    n_train = max(1, int(round(SPLIT * len(order))))
     train_idx = order[:n_train]
     val_idx = order[n_train:]
 

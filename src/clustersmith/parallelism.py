@@ -125,18 +125,18 @@ def _check_server_kind(level: ParallelLevel, g: TopologyGraph) -> None:
 def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
     """Outstanding-packet window bound on a worker's aggregation throughput."""
     # a float product: two large int fields give inf, not an OverflowError
-    return float(level.window_packets) * level.packet_bytes / (level.rtt_us * US)
+    window = float(level.window_packets) * level.packet_bytes
+    rtt_s = level.rtt_us * US  # 0.0 for a subnormal rtt: then no bound
+    return window / rtt_s if rtt_s else float("inf")
 
 
 def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
     """Per-phase seconds for one level on a topology (sum = level total)."""
     _check_server_kind(level, g)
     phases = traffic_for_level(level)
-    window_cap = (
-        _window_cap_bytes_per_s(level)
-        if level.strategy == Strategy.IN_NETWORK_AGGREGATION
-        else None
-    )
+    window_cap = (_window_cap_bytes_per_s(level)  # inf: no window bound
+                  if level.strategy == Strategy.IN_NETWORK_AGGREGATION
+                  else float("inf"))
     # traffic_for_level repeats one phase tuple many times; price it once
     phase_times = {}  # id(phase) -> seconds
     for phase in phases:
@@ -156,8 +156,7 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
                 f = share[(id(link), u if link.duplex else None)]
                 rate = min(rate, link.bandwidth * GB / f)
             t = (path.total_latency + path.total_b) * US + x.bytes / rate
-            if window_cap is not None:
-                t = max(t, x.bytes / window_cap)
+            t = max(t, x.bytes / window_cap)
             phase_time = max(phase_time, t)
         phase_times[id(phase)] = phase_time
     return [phase_times[id(phase)] for phase in phases]
@@ -166,13 +165,17 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
 @dataclass(frozen=True)
 class TimeMatrix:
     levels: tuple[ParallelLevel, ...]
-    entries: tuple[tuple[float, ...], ...]  # rows zero-padded to phase_count
-    phase_count: int
+    entries: tuple[tuple[float, ...], ...]  # per level, padded with 0.0
+    phase_count: int = field(init=False)
     row_totals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "row_totals",
-                           tuple(sum(row) for row in self.entries))
+        width = max((len(row) for row in self.entries), default=0)
+        entries = tuple(tuple(row) + (0.0,) * (width - len(row))
+                        for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "phase_count", width)
+        object.__setattr__(self, "row_totals", tuple(sum(row) for row in entries))
 
     def winner(self) -> tuple[ParallelLevel, float]:
         """Cheapest level by total communication time; ties prefer smaller
@@ -207,10 +210,7 @@ def build_time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
     levels = tuple(levels)
     if not levels:
         raise TooFewParticipants("need at least one level")
-    rows = [comm_time(lv, g) for lv in levels]
-    width = max((len(r) for r in rows), default=0)
-    padded = tuple(tuple(r + [0.0] * (width - len(r))) for r in rows)
-    return TimeMatrix(levels=levels, entries=padded, phase_count=width)
+    return TimeMatrix(levels, tuple(comm_time(lv, g) for lv in levels))
 
 
 def select_level(levels, g: TopologyGraph):

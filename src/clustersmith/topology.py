@@ -104,12 +104,28 @@ class Link:
 
 @dataclass(frozen=True)
 class TopologyGraph:
+    """Checks, when built, the rules that span declarations (no repeated node
+    id, no undeclared link endpoint), naming the (declaration, field) in `at`."""
+
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     gdr: bool = False
     # index, adjacency and routing (below) are derived; excluded from
     # equality so that a reloaded graph compares equal on declarations alone.
-    index: dict = field(default_factory=dict, compare=False, repr=False)
+    index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {}
+        for n in self.nodes:
+            if n.id in index:
+                raise ValidationError(f"duplicate node id {n.id!r}", at=(n, "id"))
+            index[n.id] = len(index)
+        for l in self.links:
+            for end in ("endpoint_a", "endpoint_b"):
+                if getattr(l, end) not in index:
+                    raise ValidationError(f"link endpoint {getattr(l, end)!r} is "
+                                          "not a declared node", at=(l, end))
+        object.__setattr__(self, "index", index)
 
     def node(self, node_id: str) -> Node:
         if node_id not in self.index:
@@ -122,14 +138,15 @@ class TopologyGraph:
 
     @cached_property
     def adjacency(self):
-        """0/1 int64 adjacency matrix in node declaration order, built on
-        first use, so only callers that read it import numpy."""
+        """Read-only 0/1 int64 adjacency matrix in node declaration order,
+        built on first use, so only callers that read it import numpy."""
         import numpy as np
 
         a = np.zeros((len(self.nodes), len(self.nodes)), dtype=np.int64)
         for l in self.links:
             i, j = self.index[l.endpoint_a], self.index[l.endpoint_b]
             a[i, j] = a[j, i] = 1
+        a.flags.writeable = False
         return a
 
     @cached_property
@@ -142,26 +159,12 @@ class TopologyGraph:
 
 
 def build_graph(nodes, links, gdr=False) -> TopologyGraph:
-    """Index the nodes by id.  Node and Link check their own fields; this
-    checks the rules that span declarations, no repeated node id and no
-    undeclared link endpoint, naming the (declaration, field) in `at`."""
-    nodes = tuple(nodes)
-    links = tuple(links)
-    index = {}
-    for n in nodes:
-        if n.id in index:
-            raise ValidationError(f"duplicate node id {n.id!r}", at=(n, "id"))
-        index[n.id] = len(index)
-    for l in links:
-        for end in ("endpoint_a", "endpoint_b"):
-            if getattr(l, end) not in index:
-                raise ValidationError(f"link endpoint {getattr(l, end)!r} is "
-                                      "not a declared node", at=(l, end))
-    return TopologyGraph(nodes=nodes, links=links, gdr=gdr, index=index)
+    """The `TopologyGraph` of these declarations, which checks them."""
+    return TopologyGraph(tuple(nodes), tuple(links), gdr)
 
 
 def adjacency_matrix(g: TopologyGraph):
-    """0/1 adjacency with rows in node declaration order."""
+    """A writable copy of the 0/1 adjacency, rows in node declaration order."""
     return g.adjacency.copy()
 
 
@@ -319,7 +322,7 @@ def apply_transform(g: TopologyGraph, t) -> TopologyGraph:
     if isinstance(t, EnableGdr):
         if g.gdr:
             raise TransformConflict("GDR already enabled")
-        return build_graph(g.nodes, g.links, gdr=True)
+        return replace(g, gdr=True)
     if isinstance(t, AttachPcieSwitch):
         return _attach_pcie_switch(g, t)
     raise InvalidTransformTarget(f"unknown transform {t!r}")

@@ -186,6 +186,22 @@ def test_plan_evaluates_each_level_and_source_once(capsys, tmp_path, monkeypatch
     assert set(passes.values()) == {1}
 
 
+def test_plan_subnormal_rtt_applies_no_window_bound(capsys, tmp_path):
+    # rtt=1e-320 us is 0.0 s as a float, as if the window were unbounded
+    topo = tmp_path / "dual.topo"
+    topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
+    levels = tmp_path / "levels.txt"
+    results = []
+    for rtt in ("1e-320", "1e-300"):
+        levels.write_text("level i strategy=in_network_aggregation "
+                          "participants=gpu0,gpu1 server=net0 payload=1e9 "
+                          f"rtt={rtt} window=1 pkt=1\n")
+        results.append(run(capsys, "plan", "--topo", str(topo),
+                           "--levels", str(levels)))
+    assert results[0] == results[1] == (
+        0, "selected i (in_network_aggregation, n=2): 0.3200032 s total\n", "")
+
+
 FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=10e9\n"
 BIG = "1" + "0" * 400  # an integer too large for a float
 
@@ -245,6 +261,25 @@ def test_stagger_bad_bandwidth_exit_2(capsys, tmp_path, option, value):
     field = "upstream_bandwidth" if option == "--upstream" else "per_flow_cap"
     assert code == 2 and out == ""
     assert err == f"error: {field} must be finite and > 0, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("flows,upstream", [
+    ("flow a bytes=1e308\n", "1e-300"),
+    ("flow a bytes=1e308\nflow b bytes=1e308\n", "1e-300"),
+    # each alone finishes, but not both at once
+    ("flow a bytes=1e308\nflow b bytes=1e308\n", "1e-9"),
+    # half the upstream rounds to 0.0
+    ("flow a bytes=1\nflow b bytes=1\n", "5e-324"),
+])
+def test_stagger_flow_time_past_a_float_exit_2(capsys, tmp_path, flows, upstream):
+    path = tmp_path / "flows.txt"
+    path.write_text(flows)
+    code, out, err = run(capsys, "stagger", "--flows", str(path),
+                         "--upstream", upstream)
+    assert code == 2 and out == ""
+    assert err == (f"error: flow 'a': time on the switch (upstream "
+                   f"{float(upstream)!r} GB/s, per-flow cap {float(upstream)!r} "
+                   "GB/s) is not a finite number of seconds\n")
 
 
 def test_stagger_dropped_options_are_gone(capsys, tmp_path):
@@ -372,6 +407,19 @@ def test_gnn_train_bad_settings_exit_2(capsys, tmp_path, argv, message):
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out_path.exists()
+
+
+def test_gnn_train_zero_epochs_writes_the_initial_model(capsys, tmp_path):
+    out_path, loss = tmp_path / "model.txt", tmp_path / "loss.csv"
+    code, out, err = run(capsys, "gnn", "train", "--count", "20", "--epochs", "0",
+                         "--out", str(out_path), "--loss-csv", str(loss))
+    assert code == 0 and err == ""
+    assert out.startswith("trained on 20 samples; validation MAPE ")
+    assert loss.read_text() == "epoch,train_mse\n"
+    # the label scaling is fitted; every weight is still init_model's
+    initial = gnn.save_model(gnn.init_model(seed=0)).splitlines()
+    saved = out_path.read_text().splitlines()
+    assert saved[:2] == initial[:2] and saved[4:] == initial[4:]
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -14,6 +14,7 @@ from clustersmith.topology import (
     LinkKind,
     NodeKind,
     SocketDirect,
+    TopologyGraph,
     apply_transform,
     load_topology,
 )
@@ -170,6 +171,7 @@ def test_resolve_matches_enumeration_on_random_graphs():
     checked = constrained = detours = unreachable = 0
     for _ in range(200):
         g = random_graph(rng, max_nodes=8)
+        direct = TopologyGraph(g.nodes, g.links, g.gdr)  # not via build_graph
         ids = [n.id for n in g.nodes]
         for src in ids:
             for dst in ids:
@@ -180,8 +182,9 @@ def test_resolve_matches_enumeration_on_random_graphs():
                                 and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
                 expect = best_path_by_enumeration(g, src, dst)
                 if expect is None:
-                    with pytest.raises(Unreachable):
-                        resolve_path(g, src, dst)
+                    for graph in (g, direct):
+                        with pytest.raises(Unreachable):
+                            resolve_path(graph, src, dst)
                     unreachable += 1
                     continue
                 got = resolve_path(g, src, dst)
@@ -189,6 +192,8 @@ def test_resolve_matches_enumeration_on_random_graphs():
                 assert got.nodes == exp_nodes
                 assert got.links == exp_links
                 assert got.bottleneck_bandwidth == min(l.bandwidth for l in exp_links)
+                # a second query, and the directly built graph, walk it again
+                assert resolve_path(g, src, dst) == resolve_path(direct, src, dst) == got
                 checked += 1
                 detours += len(set(exp_nodes)) < len(exp_nodes)
     assert checked > 3000 and unreachable > 30

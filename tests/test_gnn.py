@@ -383,7 +383,7 @@ def test_training_deterministic():
 
 @pytest.mark.parametrize("kwargs", [
     {"learning_rate": -1.0}, {"learning_rate": float("nan")},
-    {"learning_rate": float("inf")}, {"epochs": -3}, {"split": 1.0},
+    {"learning_rate": float("inf")}, {"epochs": -3},
 ])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ from clustersmith.errors import MissingServerNode, TooFewParticipants
 from clustersmith.parallelism import (
     ParallelLevel,
     Strategy,
+    TimeMatrix,
     build_time_matrix,
     comm_time,
     select_level,
@@ -213,6 +214,31 @@ def test_matrix_padding_preserves_totals(nvlink4):
     assert len(m.entries[1]) == 6
     assert m.entries[1][2:] == (0.0,) * 4
     assert m.row_totals[1] == pytest.approx(sum(comm_time(levels[1], nvlink4)))
+
+
+def test_matrix_pads_its_rows(dual_socket):
+    levels = [
+        ring(4, 10e9, name="r4"),
+        ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
+                      participants=("gpu0", "gpu1"), payload_bytes=1e9,
+                      server="nic0"),
+        ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
+                      participants=("gpu0", "gpu1", "gpu2"), payload_bytes=1e9,
+                      server="net0"),
+        ParallelLevel(name="pipe", strategy=Strategy.PIPELINE_P2P,
+                      participants=("gpu0", "gpu1", "gpu2"), payload_bytes=0,
+                      microbatches=3, activation_bytes=1e8),
+    ]
+    rows = [comm_time(lv, dual_socket) for lv in levels]
+    assert sorted({len(r) for r in rows}) == [2, 3, 6]
+    # the padding build_time_matrix did before TimeMatrix padded itself
+    width = max(len(r) for r in rows)
+    padded = tuple(tuple(r + [0.0] * (width - len(r))) for r in rows)
+    m = TimeMatrix(tuple(levels), rows)
+    assert m.entries == padded
+    assert m.phase_count == width == 6
+    assert m.row_totals == tuple(sum(r) for r in padded)
+    assert build_time_matrix(levels, dual_socket) == m
 
 
 def test_matrix_serialization(nvlink4):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from clustersmith.topology import (
     NodeKind,
     PartitionNic,
     SocketDirect,
+    TopologyGraph,
     adjacency_matrix,
     apply_transform,
     build_graph,
@@ -124,6 +126,34 @@ def test_build_graph_names_the_declaration_at_fault():
     assert info.value.at == (link, "endpoint_b")
 
 
+def test_graph_built_directly_checks_what_build_graph_checks():
+    first, again = (Node(id="a", kind=NodeKind.GPU) for _ in range(2))
+    link = Link(endpoint_a="z", endpoint_b="a", kind=LinkKind.NVLINK,
+                bandwidth=1.0)
+    for nodes, links, at in (((first, again), (), (again, "id")),
+                             ((first,), (link,), (link, "endpoint_a"))):
+        with pytest.raises(ValidationError) as built:
+            build_graph(nodes, links)
+        with pytest.raises(ValidationError) as direct:
+            TopologyGraph(nodes, links)
+        assert str(direct.value) == str(built.value)
+        for err in (built.value, direct.value):
+            assert err.at[0] is at[0] and err.at[1] == at[1]
+
+
+def test_replace_recomputes_the_index(dual_socket):
+    out = replace(dual_socket, gdr=True)
+    assert out.gdr and out.index == dual_socket.index
+    assert out.index is not dual_socket.index
+    assert out.routing is not dual_socket.routing
+    flipped = replace(dual_socket, nodes=dual_socket.nodes[::-1])
+    assert [flipped.index[n.id] for n in dual_socket.nodes] == list(
+        range(len(dual_socket.nodes) - 1, -1, -1))
+    assert flipped.node("gpu0") is dual_socket.node("gpu0")
+    with pytest.raises(ValueError):
+        replace(dual_socket, index={})
+
+
 def test_transform_output_is_checked():
     g = load_topology(CHAIN)
     with pytest.raises(ValidationError,
@@ -212,6 +242,15 @@ def test_adjacency_is_derived_on_first_use(dual_socket):
         assert a is g.adjacency
         assert a.dtype == np.int64
         assert np.array_equal(a, link_by_link_adjacency(g))
+
+
+def test_cached_adjacency_is_read_only(nvlink4):
+    with pytest.raises(ValueError):
+        nvlink4.adjacency[0, :] = 0
+    copy = adjacency_matrix(nvlink4)
+    copy[0, :] = 0
+    assert neighborhood(nvlink4, "gpu0") == ["gpu1", "gpu2", "gpu3"]
+    assert adjacency_matrix(nvlink4)[0].tolist() == [0, 1, 1, 1]
 
 
 def test_equality_ignores_adjacency(dual_socket):
