@@ -11,15 +11,17 @@ GDR disabled, GPU<->NIC/DPU transfers must pass through host memory; the
 resulting route may legitimately revisit a node (out and back through a
 memory controller), so routes are walks, not necessarily simple paths.
 
-Each graph keeps a `RoutingIndex` (``TopologyGraph.routing``) that holds
-one widest-path pass per (source, start flag), computed on first use;
-each route is walked from its pass on request.  Graphs are immutable, so
-the passes need no invalidation.
+Each graph keeps a `RoutingIndex` (``TopologyGraph.routing``), built on
+first use: one maximum spanning forest, which gives every pair's
+bottleneck, plus each node's widest reach to host memory for the
+constrained pairs.  Each route is walked on the full graph on request,
+over links at least its bottleneck wide.  Graphs are immutable, so the
+index needs no invalidation.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidLaneFraction, Unreachable, UnknownNode
@@ -70,13 +72,24 @@ def _needs_host_memory(gdr: bool, src_kind: NodeKind, dst_kind: NodeKind) -> boo
 
 
 class RoutingIndex:
-    """Widest-path passes of one graph, computed on first use and kept.
+    """Routing state of one graph, built once: a maximum spanning forest.
 
-    Search runs over states (node, mem_seen), numbered ``2 * node +
-    mem_seen``, so the host-memory detour is handled uniformly: the goal
-    is (dst, 1) and mem_seen starts at 1 when the constraint does not
-    apply.  One widest-path pass per (source, start flag) gives the
-    bottleneck to every destination.
+    Two nodes' widest (max-min) bottleneck is the narrowest link on their
+    path in any maximum spanning forest (T. C. Hu, "The maximum capacity
+    route problem", Oper. Res. 9(6), 1961).  Kruskal's algorithm, widest
+    link first, keeps each merge of two trees as a new node above both,
+    numbered after them and as wide as the link that joined them (a
+    Kruskal reconstruction tree).  So ancestors number higher and are no
+    wider, and a pair's bottleneck is the width of its lowest common
+    ancestor.  Widest-path widths W form an ultrametric, so a walk from s
+    to t through some host memory m is as wide as
+    max_m min(W(s, m), W(m, t)) = min(W(s, t), max_m W(s, m)): the
+    narrower of the pair's bottleneck and that of s's lowest ancestor
+    above a host memory.
+
+    Routes are still walked on the full graph, over states (node,
+    mem_seen) numbered ``2 * node + mem_seen``: the goal is (dst, 1), and
+    mem_seen starts at 1 when the host-memory constraint does not apply.
     """
 
     def __init__(self, g: TopologyGraph):
@@ -104,49 +117,62 @@ class RoutingIndex:
         for (i, j), link in best.items():
             self.adj[i].append((j, link.bandwidth, link))
             self.adj[j].append((i, link.bandwidth, link))
-        self._widths = {}  # (source, start flag) -> width per state
 
-    def _widest_from(self, source: int, flag: int) -> list[float]:
-        """Maximum bottleneck bandwidth from (source, flag) to every state;
-        0.0 where unreachable."""
-        adj, is_mem = self.adj, self.is_mem
-        width = [0.0] * (2 * len(adj))
-        start = 2 * source + flag
-        width[start] = float("inf")
-        heap = [(-float("inf"), start)]
-        while heap:
-            negw, state = heapq.heappop(heap)
-            w = -negw
-            if w < width[state]:
-                continue
-            f = state & 1
-            for v, bw, _ in adj[state >> 1]:
-                nstate = 2 * v + (f | is_mem[v])
-                nw = bw if bw < w else w
-                if nw > width[nstate]:
-                    width[nstate] = nw
-                    heapq.heappush(heap, (-nw, nstate))
-        return width
+        # The merge tree: nodes 0..n-1 are the graph's, the rest merges.
+        n = len(g.nodes)
+        self.up = up = list(range(n))  # parent; a root is its own
+        self.width = width = [math.inf] * n
+        self.mem_below = mem_below = list(self.is_mem)
+        comp = list(range(n))  # union-find over the same numbers
+
+        def find(v):
+            while comp[v] != v:
+                comp[v] = v = comp[comp[v]]  # path halving
+            return v
+
+        for (i, j), link in sorted(best.items(), key=lambda e: -e[1].bandwidth):
+            a, b = find(i), find(j)
+            if a != b:
+                k = len(up)
+                up[a] = up[b] = comp[a] = comp[b] = k
+                up.append(k)
+                comp.append(k)
+                width.append(link.bandwidth)
+                mem_below.append(mem_below[a] or mem_below[b])
+
+    def _bottleneck(self, s: int, t: int, constrained: bool) -> float:
+        """Width of the lowest common ancestor of s and t or, if
+        `constrained`, of s's lowest ancestor above a host memory, whichever
+        is higher; 0.0 if there is none."""
+        up = self.up
+        a = s
+        while a != t:  # climb the lower: it cannot be the other's ancestor
+            if a > t:
+                a, t = t, a
+            if up[a] == a:  # two roots
+                return 0.0
+            a = up[a]
+        while constrained and not self.mem_below[s]:
+            if up[s] == s:
+                return 0.0
+            s = up[s]
+        return self.width[max(a, s)]
 
     def route(self, src: str, dst: str) -> ResolvedPath:
         s, t = self.index[src], self.index[dst]
         constrained = _needs_host_memory(self.gdr, self.kinds[s], self.kinds[t])
-        flag = int(not constrained)
-        width = self._widths.get((s, flag))
-        if width is None:
-            width = self._widths[(s, flag)] = self._widest_from(s, flag)
-        start, goal = 2 * s + flag, 2 * t + 1
-        bottleneck = width[goal]
+        bottleneck = self._bottleneck(s, t, constrained)
         if not bottleneck:
             raise Unreachable(f"no route from {src!r} to {dst!r}"
                               + (" honoring host-memory staging" if constrained else ""))
+        start, goal = 2 * s + (not constrained), 2 * t + 1
 
         # Hop distances to the goal over links at least `bottleneck` wide,
-        # level by level until the start's level is complete.  The widest
-        # pass found such a walk, so the start is reached; the frontier
-        # test only bounds the loop.
+        # level by level until the start's level is complete.  Some walk is
+        # that wide, so the start is reached; the frontier test only bounds
+        # the loop.
         adj, is_mem = self.adj, self.is_mem
-        dist = [-1] * len(width)
+        dist = [-1] * (2 * len(adj))
         dist[goal] = 0
         frontier = [goal]
         while frontier and dist[start] < 0:
@@ -193,7 +219,7 @@ class RoutingIndex:
 def resolve_path(g: TopologyGraph, src: str, dst: str) -> ResolvedPath:
     """Widest route from src to dst, honoring the host-memory constraint.
 
-    Walked from the widest-path pass kept in the graph's routing index.
+    Walked on request from the graph's routing index.
     """
     g.node(src)
     g.node(dst)

@@ -39,6 +39,7 @@ class Flow:
             check_number("bytes", self.bytes, positive=True)
             check_number("release", self.release)
             check_number("offset", self.offset)
+            check_number("start (release + offset)", self.start)
         except ValidationError as exc:
             raise ValidationError(f"flow {self.id!r}: {exc}") from None
 
@@ -126,10 +127,16 @@ def simulate(flows, sw: SwitchModel) -> SimResult:
             events.append(EventRecord(t, "start", f.id, len(marks),
                                       _rate(sw, len(marks))))
     times = list(completions.values())
+    makespan = max(times, default=0.0)
+    mean = sum(times) / len(times) if times else 0.0
+    if mean == math.inf:
+        # finite times whose sum overflows: average the scaled terms, whose
+        # rounding can still carry the sum past the largest time
+        mean = min(sum(t / len(times) for t in times), makespan)
     return SimResult(
         completions=completions,
-        makespan=max(times, default=0.0),
-        mean_completion=sum(times) / len(times) if times else 0.0,
+        makespan=makespan,
+        mean_completion=mean,
         peak_concurrency=max((e.active_flows for e in events), default=0),
         events=tuple(events),
     )

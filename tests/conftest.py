@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -132,6 +133,46 @@ def best_path_by_enumeration(g: TopologyGraph, src: str, dst: str):
         paths,
         key=lambda p: (-min(l.bandwidth for l in p[1]), len(p[1]), p[0]),
     )
+
+
+def widest_state_bottlenecks(g: TopologyGraph, src: str) -> dict:
+    """Widest bottleneck from src to every other node, 0.0 where there is
+    no route, by a heap pass over the (node, mem_seen) state graph.
+
+    mem_seen starts false only for GPU<->NIC/DPU transfers with GDR off,
+    so each destination reads the pass for its own start flag; the route
+    ends at (dst, true).  Only used as an oracle.
+    """
+    is_mem = {n.id: n.kind == NodeKind.HOST_MEMORY for n in g.nodes}
+    adj = {n.id: [] for n in g.nodes}
+    for l in g.links:
+        adj[l.endpoint_a].append((l.endpoint_b, l.bandwidth))
+        adj[l.endpoint_b].append((l.endpoint_a, l.bandwidth))
+
+    def widths(start):
+        width = {start: float("inf")}
+        heap = [(-float("inf"), start)]
+        while heap:
+            negw, (node, mem_seen) = heapq.heappop(heap)
+            if -negw < width[(node, mem_seen)]:
+                continue
+            for nxt, bw in adj[node]:
+                nstate = (nxt, mem_seen or is_mem[nxt])
+                nw = min(-negw, bw)
+                if nw > width.get(nstate, 0.0):
+                    width[nstate] = nw
+                    heapq.heappush(heap, (-nw, nstate))
+        return width
+
+    passes = {flag: widths((src, flag)) for flag in (False, True)}
+    out = {}
+    for n in g.nodes:
+        if n.id != src:
+            kinds = {g.node(src).kind, n.kind}
+            constrained = (not g.gdr and NodeKind.GPU in kinds
+                           and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
+            out[n.id] = passes[not constrained].get((n.id, True), 0.0)
+    return out
 
 
 def time_stepped_sim(flows, sw, dt: float = 1e-6):

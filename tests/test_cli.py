@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustersmith import gnn, parallelism
-from clustersmith.cli import main
+from clustersmith.cli import load_levels, main
 from clustersmith.commcost import RoutingIndex
 
 PRESETS = resources.files("clustersmith.presets")
@@ -155,35 +155,45 @@ level pipe strategy=pipeline_p2p participants=gpu0,gpu1,gpu2 payload=0 microbatc
 """
 
 
-def test_plan_evaluates_each_level_and_source_once(capsys, tmp_path, monkeypatch):
+def test_plan_evaluates_each_level_and_route_once(capsys, tmp_path, monkeypatch):
     levels = tmp_path / "levels.txt"
     levels.write_text(DUAL_SOCKET_LEVELS)
     topo = tmp_path / "dual.topo"
     topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
     level_calls = Counter()
-    passes = Counter()
+    indexes = []
+    routes = Counter()
     comm_time = parallelism.comm_time
-    widest_from = RoutingIndex._widest_from
+    init, route = RoutingIndex.__init__, RoutingIndex.route
 
     def counting_comm_time(level, g):
         level_calls[level.name] += 1
         return comm_time(level, g)
 
-    def counting_widest_from(self, source, flag):
-        passes[(id(self), source, flag)] += 1
-        return widest_from(self, source, flag)
+    def counting_init(self, g):
+        indexes.append(self)
+        init(self, g)
+
+    def counting_route(self, src, dst):
+        routes[(src, dst)] += 1
+        return route(self, src, dst)
 
     monkeypatch.setattr(parallelism, "comm_time", counting_comm_time)
-    monkeypatch.setattr(RoutingIndex, "_widest_from", counting_widest_from)
+    monkeypatch.setattr(RoutingIndex, "__init__", counting_init)
+    monkeypatch.setattr(RoutingIndex, "route", counting_route)
     code, out, _ = run(capsys, "plan", "--topo", str(topo),
                        "--levels", str(levels), "--json", str(tmp_path / "m.json"))
     assert code == 0 and out.startswith("selected ")
     assert level_calls == {name: 1 for name in ("r4", "r2", "ps", "ps_cpu", "pipe")}
-    # one routing index for the command; the GDR-off NIC server needs
-    # passes with mem_seen both 0 and 1
-    assert len({key[0] for key in passes}) == 1
-    assert {flag for _, _, flag in passes} == {0, 1}
-    assert set(passes.values()) == {1}
+    assert len(indexes) == 1
+    # one route per transfer of each distinct phase; the GDR-off NIC
+    # server's transfers take the host-memory detour
+    transfers = Counter()
+    for level in load_levels(DUAL_SOCKET_LEVELS):
+        for phase in {id(p): p for p in parallelism.traffic_for_level(level)}.values():
+            transfers.update((x.src, x.dst) for x in phase)
+    assert routes == transfers
+    assert ("gpu0", "nic0") in routes
 
 
 def test_plan_subnormal_rtt_applies_no_window_bound(capsys, tmp_path):
@@ -280,6 +290,27 @@ def test_stagger_flow_time_past_a_float_exit_2(capsys, tmp_path, flows, upstream
     assert err == (f"error: flow 'a': time on the switch (upstream "
                    f"{float(upstream)!r} GB/s, per-flow cap {float(upstream)!r} "
                    "GB/s) is not a finite number of seconds\n")
+
+
+def test_stagger_mean_of_huge_finite_times_is_finite(capsys, tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("flow a bytes=8e307\nflow b bytes=8e307\n")
+    code, out, err = run(capsys, "stagger", "--flows", str(path),
+                         "--upstream", "1e-9")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == [
+        "naive     makespan=1.6e+308 mean=1.6e+308 peak=2",
+        "staggered makespan=1.6e+308 mean=1.2e+308 peak=1"]
+
+
+def test_stagger_start_past_a_float_exit_2(capsys, tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("flow a bytes=1e9 release=1e308 offset=1e308\n")
+    code, out, err = run(capsys, "stagger", "--flows", str(path),
+                         "--upstream", "16")
+    assert code == 2 and out == ""
+    assert err == ("error: line 1, col 1: flow 'a': start (release + offset) "
+                   "must be finite and >= 0, got inf\n")
 
 
 def test_stagger_dropped_options_are_gone(capsys, tmp_path):

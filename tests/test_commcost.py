@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from clustersmith.topology import (
     EnableGdr,
     Link,
     LinkKind,
+    Node,
     NodeKind,
     SocketDirect,
     TopologyGraph,
@@ -19,7 +21,12 @@ from clustersmith.topology import (
     load_topology,
 )
 
-from conftest import best_path_by_enumeration, enumerate_simple_paths, random_graph
+from conftest import (
+    best_path_by_enumeration,
+    enumerate_simple_paths,
+    random_graph,
+    widest_state_bottlenecks,
+)
 
 
 def make_link(bw, lat=0.0, b=0.0):
@@ -198,6 +205,64 @@ def test_resolve_matches_enumeration_on_random_graphs():
                 detours += len(set(exp_nodes)) < len(exp_nodes)
     assert checked > 3000 and unreachable > 30
     assert constrained > 30 and detours > 15
+
+
+def random_routing_graph(rng: random.Random, n: int, mem_share: float,
+                         gdr: bool) -> TopologyGraph:
+    """n nodes in one to six components, with few distinct bandwidths,
+    parallel links and long chains; about `mem_share` of the nodes are host
+    memories."""
+    others = (NodeKind.CPU_SOCKET, NodeKind.PCIE_SWITCH, NodeKind.NETWORK_SWITCH)
+    nodes, members = [], {}
+    components = rng.randint(1, 6)
+    for i in range(n):
+        r = rng.random()
+        kind = (NodeKind.HOST_MEMORY if r < mem_share
+                else rng.choice((NodeKind.GPU, NodeKind.NIC, NodeKind.DPU))
+                if r < 0.6 else rng.choice(others))
+        nodes.append(Node(id=f"n{i}", kind=kind))
+        members.setdefault(rng.randrange(components), []).append(i)
+    pairs = []
+    for group in members.values():
+        for k in range(1, len(group)):
+            # half the time extend a chain, so the trees grow deep
+            pairs.append((group[k - 1] if rng.random() < 0.5
+                          else rng.choice(group[:k]), group[k]))
+        if len(group) > 1:
+            pairs += [rng.sample(group, 2) for _ in range(rng.randint(0, len(group)))]
+    pairs += rng.sample(pairs, len(pairs) // 5)  # parallel links
+    # links to host memory are often the narrow ones, so that the detour
+    # through memory, not the pair itself, sets many bottlenecks
+    mem = {i for i, node in enumerate(nodes) if node.kind == NodeKind.HOST_MEMORY}
+    links = [Link(endpoint_a=f"n{i}", endpoint_b=f"n{j}", kind=LinkKind.PCIE,
+                  bandwidth=rng.choice((1.0, 2.0) if {i, j} & mem else
+                                       (1.0, 2.0, 4.0, 8.0)))
+             for i, j in pairs]
+    return TopologyGraph(tuple(nodes), tuple(links), gdr)
+
+
+def test_bottleneck_matches_state_graph_oracle_at_scale():
+    rng = random.Random(31)
+    seen = Counter()  # (host-memory constrained, reachable) -> pairs
+    cases = [(300, 0.02, False), (300, 0.3, False), (150, 0.0, False),
+             (150, 0.1, True)] + [
+        (n, rng.choice((0.0, 0.02, 0.1, 0.3)), rng.random() < 0.25)
+        for n in (80, 40, 40, 20, 20, 12, 12, 12, 6, 6, 6, 3, 2)]
+    for n, mem_share, gdr in cases:
+        g = random_routing_graph(rng, n, mem_share, gdr)
+        for src in (node.id for node in g.nodes):
+            for dst, width in widest_state_bottlenecks(g, src).items():
+                if width:
+                    assert resolve_path(g, src, dst).bottleneck_bandwidth == width
+                else:
+                    with pytest.raises(Unreachable):
+                        resolve_path(g, src, dst)
+                kinds = {g.node(src).kind, g.node(dst).kind}
+                constrained = (not g.gdr and NodeKind.GPU in kinds and (
+                    NodeKind.NIC in kinds or NodeKind.DPU in kinds))
+                seen[(constrained, width > 0)] += 1
+    assert seen[(False, True)] > 50000 and seen[(False, False)] > 50000
+    assert seen[(True, True)] > 5000 and seen[(True, False)] > 5000
 
 
 def test_routed_graph_is_freed_by_reference_counting():

@@ -274,6 +274,15 @@ def test_matches_exact_fair_share_with_ties():
             assert res.completions[fid] == pytest.approx(float(t), rel=1e-12)
 
 
+def test_mean_of_finite_times_stays_finite():
+    # each finishes at the largest float; a third of it rounds up, so even
+    # the scaled terms sum past it
+    top = 1.7976931348623157e308
+    res = simulate([Flow(id=f"f{i}", bytes=top / 3) for i in range(3)],
+                   SwitchModel(upstream_bandwidth=1e-9, per_flow_cap=1e-9))
+    assert res.makespan == res.mean_completion == top
+
+
 @pytest.mark.parametrize("kwargs", [
     {"bytes": math.nan}, {"bytes": math.inf}, {"bytes": 0.0},
     {"bytes": -1.0}, {"release": math.nan}, {"release": math.inf},
