@@ -219,7 +219,7 @@ def cmd_gnn(args) -> int:
     predicted = gnn.predict_seconds(model, g, level)
     print(f"predicted {predicted!r} s")
     if args.compare:
-        analytic = sum(parallelism.comm_time(level, g))
+        analytic = parallelism.total(parallelism.comm_time(level, g), level.name)
         rel = abs(predicted - analytic) / analytic if analytic else float("inf")
         print(f"analytic  {analytic!r} s (relative error {rel:.4f})")
     return EXIT_OK

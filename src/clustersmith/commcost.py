@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidLaneFraction, Unreachable, UnknownNode
+from .errors import (InvalidLaneFraction, Unreachable, UnknownNode,
+                     ValidationError)
 from .topology import Link, NodeKind, TopologyGraph
 
 GB = 1e9  # bytes
@@ -207,12 +208,19 @@ class RoutingIndex:
             node_seq.append(ids[nxt])
             link_seq.append(link)
 
+        try:  # fsum: correctly rounded, so the same on every Python
+            total_latency = math.fsum(l.latency for l in link_seq)
+            total_b = math.fsum(l.extra_overhead_b for l in link_seq)
+        except OverflowError:
+            raise ValidationError(
+                f"route from {src!r} to {dst!r}: latency or b is not a finite "
+                "number of microseconds") from None
         return ResolvedPath(
             nodes=tuple(node_seq),
             links=tuple(link_seq),
             bottleneck_bandwidth=bottleneck,  # the walk's narrowest link
-            total_latency=sum(l.latency for l in link_seq),
-            total_b=sum(l.extra_overhead_b for l in link_seq),
+            total_latency=total_latency,
+            total_b=total_b,
         )
 
 

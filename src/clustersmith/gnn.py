@@ -19,7 +19,7 @@ import numpy as np
 from . import lineformat
 from .errors import (DimensionMismatch, EmptyDataset, NonSymmetricInput,
                      ParseError, ValidationError, check_number)
-from .parallelism import ParallelLevel, Strategy, comm_time
+from .parallelism import ParallelLevel, Strategy, comm_time, total
 from .topology import Link, LinkKind, Node, NodeKind, TopologyGraph, build_graph
 
 KIND_ORDER = tuple(NodeKind)
@@ -280,7 +280,7 @@ def generate_dataset(seed: int, count: int) -> list:
     for _ in range(count):
         g, level = _random_instance(rng)
         samples.append(Sample(graph=g, level=level,
-                              label_seconds=sum(comm_time(level, g))))
+                              label_seconds=total(comm_time(level, g), level.name)))
     return samples
 
 

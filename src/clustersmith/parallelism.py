@@ -5,6 +5,11 @@ a phase is a set of point-to-point transfers.  Phase k+1 starts when every
 phase-k transfer has finished, so a level's communication time is the sum of
 per-phase times.  Within a phase, transfers sharing a link (same direction on
 duplex links) split its bandwidth equally.
+
+A schedule is a tuple of runs `(phase, count)`: `count` copies of one phase
+back to back.  Each run's phase is routed and priced once, and a level's
+time is `total` of its runs: the correctly rounded value of
+sum(seconds * count), the same on every Python version and run layout.
 """
 
 from __future__ import annotations
@@ -81,8 +86,10 @@ class Transfer:
     bytes: float
 
 
-def traffic_for_level(level: ParallelLevel) -> tuple[tuple[Transfer, ...], ...]:
-    """Expand a level into its phases, each a tuple of transfers."""
+def traffic_for_level(
+        level: ParallelLevel) -> tuple[tuple[tuple[Transfer, ...], int], ...]:
+    """Expand a level into runs `(phase, count)`, each phase a tuple of
+    transfers repeated `count` times."""
     n = level.n
     if n < 1:
         raise TooFewParticipants("level needs at least one participant")
@@ -93,7 +100,7 @@ def traffic_for_level(level: ParallelLevel) -> tuple[tuple[Transfer, ...], ...]:
     if level.strategy == Strategy.RING_ALLREDUCE:
         chunk = m / n
         phase = tuple(Transfer(p[i], p[(i + 1) % n], chunk) for i in range(n))
-        return tuple(phase for _ in range(2 * (n - 1)))
+        return ((phase, 2 * (n - 1)),)
     if level.strategy in _SERVER_KINDS:
         if level.server is None:
             raise MissingServerNode(
@@ -101,12 +108,12 @@ def traffic_for_level(level: ParallelLevel) -> tuple[tuple[Transfer, ...], ...]:
             )
         up = tuple(Transfer(w, level.server, m) for w in p)
         down = tuple(Transfer(level.server, w, m) for w in p)
-        return up, down
+        return (up, 1), (down, 1)
     if level.strategy == Strategy.PIPELINE_P2P:
         phase = tuple(
             Transfer(p[i], p[i + 1], level.activation_bytes) for i in range(n - 1)
         )
-        return tuple(phase for _ in range(level.microbatches))
+        return ((phase, level.microbatches),)
     raise ValueError(f"unknown strategy {level.strategy!r}")
 
 
@@ -130,18 +137,15 @@ def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
     return window / rtt_s if rtt_s else float("inf")
 
 
-def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
-    """Per-phase seconds for one level on a topology (sum = level total)."""
+def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int], ...]:
+    """`(seconds, count)` of each run of one level on a topology; `total`
+    of them is the level's time."""
     _check_server_kind(level, g)
-    phases = traffic_for_level(level)
     window_cap = (_window_cap_bytes_per_s(level)  # inf: no window bound
                   if level.strategy == Strategy.IN_NETWORK_AGGREGATION
                   else float("inf"))
-    # traffic_for_level repeats one phase tuple many times; price it once
-    phase_times = {}  # id(phase) -> seconds
-    for phase in phases:
-        if id(phase) in phase_times:
-            continue
+    priced = []
+    for phase, count in traffic_for_level(level):
         routed = [(x, resolve_path(g, x.src, x.dst)) for x in phase]
         # concurrency per link; duplex links contend per direction
         share = {}
@@ -158,24 +162,45 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> list[float]:
             t = (path.total_latency + path.total_b) * US + x.bytes / rate
             t = max(t, x.bytes / window_cap)
             phase_time = max(phase_time, t)
-        phase_times[id(phase)] = phase_time
-    return [phase_times[id(phase)] for phase in phases]
+        priced.append((phase_time, count))
+    return tuple(priced)
+
+
+def total(runs, name: str) -> float:
+    """Correctly rounded sum of seconds * count over `(seconds, count)`
+    runs: one exact sum, rounded once, so it depends on neither the order
+    nor the layout of the runs.  A time that is not finite is an error
+    naming level `name`."""
+    from fractions import Fraction  # not imported at start-up
+
+    try:
+        return float(sum(Fraction(t) * count for t, count in runs))
+    except (ValueError, OverflowError):  # nan, inf, or a sum past float range
+        raise ValidationError(f"level {name!r}: time is not a finite number "
+                              "of seconds") from None
 
 
 @dataclass(frozen=True)
 class TimeMatrix:
     levels: tuple[ParallelLevel, ...]
-    entries: tuple[tuple[float, ...], ...]  # per level, padded with 0.0
+    runs: tuple[tuple[tuple[float, int], ...], ...]  # per level, from comm_time
     phase_count: int = field(init=False)
     row_totals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        width = max((len(row) for row in self.entries), default=0)
-        entries = tuple(tuple(row) + (0.0,) * (width - len(row))
-                        for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "phase_count", width)
-        object.__setattr__(self, "row_totals", tuple(sum(row) for row in entries))
+        object.__setattr__(self, "phase_count", max(
+            (sum(count for _, count in runs) for runs in self.runs), default=0))
+        object.__setattr__(self, "row_totals", tuple(
+            total(runs, lv.name) for lv, runs in zip(self.levels, self.runs)))
+
+    @property
+    def entries(self) -> tuple[tuple[float, ...], ...]:
+        """Per level, each run's time repeated `count` times, padded with
+        0.0 to `phase_count`."""
+        rows = [[t for t, count in runs for _ in range(count)]
+                for runs in self.runs]
+        return tuple(tuple(row + [0.0] * (self.phase_count - len(row)))
+                     for row in rows)
 
     def winner(self) -> tuple[ParallelLevel, float]:
         """Cheapest level by total communication time; ties prefer smaller

@@ -163,18 +163,6 @@ def build_graph(nodes, links, gdr=False) -> TopologyGraph:
     return TopologyGraph(tuple(nodes), tuple(links), gdr)
 
 
-def adjacency_matrix(g: TopologyGraph):
-    """A writable copy of the 0/1 adjacency, rows in node declaration order."""
-    return g.adjacency.copy()
-
-
-def neighborhood(g: TopologyGraph, v: str) -> list[str]:
-    """Neighbor ids of v, in declaration order."""
-    g.node(v)
-    row = g.adjacency[g.index[v]]
-    return [g.nodes[j].id for j in range(len(g.nodes)) if row[j]]
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 

@@ -150,12 +150,13 @@ def test_acceptance_6_ring_traffic_bytes():
         payload = 8e9
         level = ParallelLevel(name="r", strategy=Strategy.RING_ALLREDUCE,
                               participants=ids, payload_bytes=payload)
-        phases = traffic_for_level(level)
+        runs = traffic_for_level(level)
         # brute-force oracle: sum each participant's sent bytes per phase
         sent = {i: 0.0 for i in ids}
-        for phase in phases:
-            for flow in phase:
-                sent[flow.src] += flow.bytes
+        for phase, count in runs:
+            for _ in range(count):
+                for flow in phase:
+                    sent[flow.src] += flow.bytes
         expected = 2 * (n - 1) * payload / n
         for i in ids:
             assert sent[i] == pytest.approx(expected, rel=1e-12)

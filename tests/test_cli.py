@@ -3,6 +3,7 @@ import csv
 import io
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from importlib import resources
 
@@ -190,7 +191,7 @@ def test_plan_evaluates_each_level_and_route_once(capsys, tmp_path, monkeypatch)
     # server's transfers take the host-memory detour
     transfers = Counter()
     for level in load_levels(DUAL_SOCKET_LEVELS):
-        for phase in {id(p): p for p in parallelism.traffic_for_level(level)}.values():
+        for phase, _ in parallelism.traffic_for_level(level):
             transfers.update((x.src, x.dst) for x in phase)
     assert routes == transfers
     assert ("gpu0", "nic0") in routes
@@ -210,6 +211,58 @@ def test_plan_subnormal_rtt_applies_no_window_bound(capsys, tmp_path):
                            "--levels", str(levels)))
     assert results[0] == results[1] == (
         0, "selected i (in_network_aggregation, n=2): 0.3200032 s total\n", "")
+
+
+@pytest.mark.parametrize("topo, payload, message", [
+    # finite links whose phase time overflows
+    ("node gpu0 kind=Gpu\nnode gpu1 kind=Gpu\n"
+     "link gpu0 gpu1 kind=NvLink bw=1e-300\n", "1e308",
+     "error: level 'r': time is not a finite number of seconds\n"),
+    # finite latencies whose sum along the route overflows
+    ("node gpu0 kind=Gpu\nnode sw kind=PcieSwitch\nnode gpu1 kind=Gpu\n"
+     "link gpu0 sw kind=Pcie bw=16 lat=1e308\n"
+     "link sw gpu1 kind=Pcie bw=16 lat=1e308\n", "1e9",
+     "error: route from 'gpu0' to 'gpu1': latency or b is not a finite "
+     "number of microseconds\n"),
+])
+def test_plan_time_that_is_not_finite_exits_2(capsys, tmp_path, topo, payload,
+                                              message):
+    (tmp_path / "t.topo").write_text(topo)
+    (tmp_path / "levels.txt").write_text(
+        "level r strategy=ring_allreduce participants=gpu0,gpu1 "
+        f"payload={payload}\n")
+    out_json = tmp_path / "m.json"
+    assert run(capsys, "plan", "--topo", str(tmp_path / "t.topo"),
+               "--levels", str(tmp_path / "levels.txt"),
+               "--json", str(out_json)) == (2, "", message)
+    assert not out_json.exists()
+
+
+def test_plan_memory_does_not_grow_with_microbatches(capsys, tmp_path,
+                                                     nvlink4_path, nvlink4):
+    levels = tmp_path / "levels.txt"
+
+    def plan(microbatches):
+        levels.write_text("level pp strategy=pipeline_p2p participants=gpu0,gpu1 "
+                          f"payload=0 activation=1e8 microbatches={microbatches}\n")
+        tracemalloc.start()
+        try:
+            result = run(capsys, "plan", "--topo", nvlink4_path,
+                         "--levels", str(levels))
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plan(1)  # first use: lazy imports and caches
+    _, base_peak = plan(1)
+    (t, _), = parallelism.comm_time(load_levels(levels.read_text())[0],
+                                    nvlink4)
+    # 10**6 first: a per-phase list would cost megabytes there, not gigabytes
+    for microbatches in (10 ** 6, 10 ** 9):
+        result, peak = plan(microbatches)
+        assert peak - base_peak < 64 * 1024
+        assert result == (0, "selected pp (pipeline_p2p, n=2): "
+                          f"{float(microbatches) * t!r} s total\n", "")
 
 
 FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=10e9\n"

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 
 import numpy as np
@@ -352,7 +353,10 @@ def test_dataset_single_sample():
 
 def test_dataset_labels_match_analytic_reevaluation():
     for s in generate_dataset(seed=8, count=20):
-        assert s.label_seconds == sum(comm_time(s.level, s.graph))
+        # the correctly rounded sum of the level's per-phase row
+        row = [t for t, count in comm_time(s.level, s.graph)
+               for _ in range(count)]
+        assert s.label_seconds == math.fsum(row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersmith.errors import MissingServerNode, TooFewParticipants
+from clustersmith.errors import (MissingServerNode, TooFewParticipants,
+                                 ValidationError)
 from clustersmith.parallelism import (
     ParallelLevel,
     Strategy,
@@ -12,6 +15,7 @@ from clustersmith.parallelism import (
     build_time_matrix,
     comm_time,
     select_level,
+    total,
     traffic_for_level,
 )
 from clustersmith.topology import load_topology
@@ -25,17 +29,23 @@ def ring(n, payload, name="ring", participants=None):
 
 def brute_force_ring_bytes(n, payload):
     """Oracle: sum every per-phase send of each participant."""
-    phases = traffic_for_level(ring(n, payload))
+    runs = traffic_for_level(ring(n, payload))
     sent = {f"gpu{i}": 0.0 for i in range(n)}
-    for phase in phases:
-        for flow in phase:
-            sent[flow.src] += flow.bytes
+    for phase, count in runs:
+        for _ in range(count):
+            for flow in phase:
+                sent[flow.src] += flow.bytes
     return sent
 
 
+def expand(runs):
+    """The per-phase row of `(value, count)` runs."""
+    return [x for x, count in runs for _ in range(count)]
+
+
 def test_ring_phase_count_and_bytes():
-    phases = traffic_for_level(ring(4, 1e9))
-    assert len(phases) == 6
+    runs = traffic_for_level(ring(4, 1e9))
+    assert [count for _, count in runs] == [6]
     sent = brute_force_ring_bytes(4, 1e9)
     assert all(v == pytest.approx(1.5e9) for v in sent.values())
 
@@ -47,8 +57,7 @@ def test_ring_per_participant_total(n, payload):
 
 
 def test_ring_conservation():
-    phases = traffic_for_level(ring(5, 3e9))
-    for phase in phases:
+    for phase, _ in traffic_for_level(ring(5, 3e9)):
         assert sum(f.bytes for f in phase) == pytest.approx(
             sum(f.bytes for f in phase))  # point-to-point: injected = delivered
         srcs = {f.src for f in phase}
@@ -60,9 +69,8 @@ def test_parameter_server_flows():
     lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
                        participants=("gpu0", "gpu1"), payload_bytes=1e9,
                        server="cpu")
-    phases = traffic_for_level(lv)
-    assert len(phases) == 2
-    up, down = phases
+    (up, n_up), (down, n_down) = traffic_for_level(lv)
+    assert n_up == n_down == 1
     assert sum(f.bytes for f in up if f.dst == "cpu") == pytest.approx(2e9)
     assert sum(f.bytes for f in down if f.src == "cpu") == pytest.approx(2e9)
 
@@ -92,9 +100,8 @@ def test_pipeline_phases():
     lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
                        participants=("gpu0", "gpu1", "gpu2"),
                        payload_bytes=0, microbatches=4, activation_bytes=1e8)
-    phases = traffic_for_level(lv)
-    assert len(phases) == 4
-    assert all(len(phase) == 2 for phase in phases)
+    runs = traffic_for_level(lv)
+    assert [(len(phase), count) for phase, count in runs] == [(2, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +116,13 @@ link gpu0 gpu1 kind=NvLink bw=20
 
 def test_ring2_on_dedicated_link():
     g = load_topology(PAIR)
-    times = comm_time(ring(2, 10e9), g)
+    times = expand(comm_time(ring(2, 10e9), g))
     assert times == pytest.approx([0.25, 0.25])
 
 
 def test_zero_payload_gives_pure_latency():
     g = load_topology(PAIR.replace("bw=20", "bw=20 lat=4 b=1"))
-    times = comm_time(ring(2, 0.0), g)
+    times = expand(comm_time(ring(2, 0.0), g))
     assert times == pytest.approx([5e-6, 5e-6])
 
 
@@ -130,7 +137,7 @@ def test_ina_window_cap():
     )
     cap = 4 * 1100 / 10e-6  # 0.44 GB/s
     assert cap == pytest.approx(0.44e9)
-    times = comm_time(lv, g)
+    times = expand(comm_time(lv, g))
     # wire is fast; the window bound dominates both phases
     assert times == pytest.approx([1e9 / cap, 1e9 / cap])
 
@@ -146,7 +153,7 @@ def test_ina_window_past_float_range_is_no_bound():
         "node gpu0 kind=Gpu\nnode gpu1 kind=Gpu\nnode tor kind=NetworkSwitch\n"
         "link gpu0 tor kind=Ethernet bw=100\nlink gpu1 tor kind=Ethernet bw=100"
     )
-    assert comm_time(lv, g) == [0.01, 0.01]
+    assert comm_time(lv, g) == ((0.01, 1), (0.01, 1))
 
 
 def test_ina_requires_network_switch_server():
@@ -170,7 +177,7 @@ def test_equal_split_on_shared_link():
     lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
                        participants=("gpu0", "gpu1"), payload_bytes=8e9,
                        server="cpu")
-    times = comm_time(lv, g)
+    times = expand(comm_time(lv, g))
     # uplink shared by 2 flows at 8 GB/s each: 1 s per direction phase
     assert times == pytest.approx([1.0, 1.0])
 
@@ -178,9 +185,10 @@ def test_equal_split_on_shared_link():
 def test_comm_time_at_least_isolation_bound(nvlink4):
     from clustersmith.commcost import path_time, resolve_path
     lv = ring(4, 10e9)
-    times = comm_time(lv, nvlink4)
-    phases = traffic_for_level(lv)
-    for phase, t in zip(phases, times):
+    runs = traffic_for_level(lv)
+    priced = comm_time(lv, nvlink4)
+    assert [count for _, count in priced] == [count for _, count in runs]
+    for (phase, _), (t, _) in zip(runs, priced):
         bound = max(path_time(f.bytes, resolve_path(nvlink4, f.src, f.dst))
                     for f in phase)
         assert t >= bound - 1e-12
@@ -213,7 +221,8 @@ def test_matrix_padding_preserves_totals(nvlink4):
     assert m.phase_count == 6
     assert len(m.entries[1]) == 6
     assert m.entries[1][2:] == (0.0,) * 4
-    assert m.row_totals[1] == pytest.approx(sum(comm_time(levels[1], nvlink4)))
+    assert m.row_totals[1] == pytest.approx(
+        math.fsum(expand(comm_time(levels[1], nvlink4))))
 
 
 def test_matrix_pads_its_rows(dual_socket):
@@ -229,15 +238,17 @@ def test_matrix_pads_its_rows(dual_socket):
                       participants=("gpu0", "gpu1", "gpu2"), payload_bytes=0,
                       microbatches=3, activation_bytes=1e8),
     ]
-    rows = [comm_time(lv, dual_socket) for lv in levels]
+    runs = tuple(comm_time(lv, dual_socket) for lv in levels)
+    rows = [expand(r) for r in runs]
     assert sorted({len(r) for r in rows}) == [2, 3, 6]
     # the padding build_time_matrix did before TimeMatrix padded itself
     width = max(len(r) for r in rows)
     padded = tuple(tuple(r + [0.0] * (width - len(r))) for r in rows)
-    m = TimeMatrix(tuple(levels), rows)
+    m = TimeMatrix(tuple(levels), runs)
     assert m.entries == padded
     assert m.phase_count == width == 6
-    assert m.row_totals == tuple(sum(r) for r in padded)
+    # totals are correctly rounded sums of the expanded rows
+    assert m.row_totals == tuple(math.fsum(r) for r in padded)
     assert build_time_matrix(levels, dual_socket) == m
 
 
@@ -251,6 +262,38 @@ def test_matrix_serialization(nvlink4):
     obj = json.loads(json.dumps(m.to_json_obj()))
     assert obj["phase_count"] == 6
     assert obj["row_totals"][1] == pytest.approx(0.25)
+
+
+# ---------------------------------------------------------------------------
+# total
+
+RUNS = st.lists(st.tuples(st.floats(0, 1e6), st.integers(1, 10 ** 9)),
+                max_size=4)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(runs=RUNS, data=st.data())
+def test_total_is_the_correctly_rounded_sum(runs, data):
+    got = total(runs, "r")
+    assert got == float(sum(Fraction(t) * count for t, count in runs))
+    if sum(count for _, count in runs) <= 10 ** 4:
+        assert got == math.fsum(expand(runs))
+    if len(runs) == 1:  # one run is one product
+        assert got == float(runs[0][1]) * runs[0][0]
+    # neither the order nor the layout of the runs matters
+    assert total(runs[::-1], "r") == got
+    if runs and runs[0][1] > 1:
+        (t, count), rest = runs[0], runs[1:]
+        k = data.draw(st.integers(1, count - 1))
+        assert total([(t, k)] + rest + [(t, count - k)], "r") == got
+
+
+@pytest.mark.parametrize("runs", [[(math.inf, 1)], [(math.nan, 1)],
+                                  [(1e308, 2)], [(1e308, 1), (1e308, 1)]])
+def test_total_that_is_not_finite_names_the_level(runs):
+    with pytest.raises(ValidationError,
+                       match="level 'r': time is not a finite number"):
+        total(runs, "r")
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@ from clustersmith.topology import (
     PartitionNic,
     SocketDirect,
     TopologyGraph,
-    adjacency_matrix,
     apply_transform,
     build_graph,
     export_dot,
     export_topo,
     load_topology,
-    neighborhood,
 )
 
 from conftest import random_graph
@@ -45,7 +43,7 @@ def test_chain_file():
     g = load_topology(CHAIN)
     assert len(g.nodes) == 3
     assert len(g.links) == 2
-    assert adjacency_matrix(g).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert g.adjacency.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_dangling_endpoint_named():
@@ -174,47 +172,51 @@ def test_node_labels_are_free_form():
 
 def test_adjacency_single_node():
     g = build_graph([Node(id="a", kind=NodeKind.GPU)], [])
-    assert adjacency_matrix(g).tolist() == [[0]]
+    assert g.adjacency.tolist() == [[0]]
 
 
 def test_adjacency_triangle():
     nodes = [Node(id=c, kind=NodeKind.GPU) for c in "abc"]
     links = [Link(endpoint_a=a, endpoint_b=b, kind=LinkKind.NVLINK, bandwidth=10)
              for a, b in (("a", "b"), ("b", "c"), ("a", "c"))]
-    a = adjacency_matrix(build_graph(nodes, links))
+    a = build_graph(nodes, links).adjacency
     assert a.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_adjacency_nvlink4_is_k4(nvlink4):
-    a = adjacency_matrix(nvlink4)
+    a = nvlink4.adjacency
     assert a.tolist() == (np.ones((4, 4), dtype=int)
                           - np.eye(4, dtype=int)).tolist()
 
 
+def neighbors(g, v):
+    return [l.other(v) for l in g.incident(v)]
+
+
 def test_neighborhood(nvlink4):
-    assert neighborhood(nvlink4, "gpu0") == ["gpu1", "gpu2", "gpu3"]
+    assert neighbors(nvlink4, "gpu0") == ["gpu1", "gpu2", "gpu3"]
     star = load_topology(
         "node c kind=PcieSwitch\nnode l1 kind=Gpu\nnode l2 kind=Gpu\n"
         "link c l1 kind=Pcie bw=8\nlink c l2 kind=Pcie bw=8\n"
         "node lonely kind=Gpu"
     )
-    assert neighborhood(star, "c") == ["l1", "l2"]
-    assert neighborhood(star, "lonely") == []
+    assert neighbors(star, "c") == ["l1", "l2"]
+    assert neighbors(star, "lonely") == []
     with pytest.raises(UnknownNode):
-        neighborhood(star, "ghost")
+        star.incident("ghost")
 
 
 def test_adjacency_properties_random():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, connected=False)
-        a = adjacency_matrix(g)
+        a = g.adjacency
         assert np.array_equal(a, a.T)
         assert not a.diagonal().any()
         for v in (n.id for n in g.nodes):
             row = a[g.index[v]]
-            assert neighborhood(g, v) == [g.nodes[j].id
-                                          for j in np.flatnonzero(row)]
+            assert ({g.index[u] for u in neighbors(g, v)}
+                    == set(np.flatnonzero(row).tolist()))
 
 
 def link_by_link_adjacency(g):
@@ -247,10 +249,7 @@ def test_adjacency_is_derived_on_first_use(dual_socket):
 def test_cached_adjacency_is_read_only(nvlink4):
     with pytest.raises(ValueError):
         nvlink4.adjacency[0, :] = 0
-    copy = adjacency_matrix(nvlink4)
-    copy[0, :] = 0
-    assert neighborhood(nvlink4, "gpu0") == ["gpu1", "gpu2", "gpu3"]
-    assert adjacency_matrix(nvlink4)[0].tolist() == [0, 1, 1, 1]
+    assert nvlink4.adjacency[0].tolist() == [0, 1, 1, 1]
 
 
 def test_equality_ignores_adjacency(dual_socket):
@@ -302,7 +301,7 @@ def test_socket_direct_adds_one_edge():
     g = load_topology(NIC_GRAPH)
     out = apply_transform(g, SocketDirect(nic_id="nic0"))
     assert len(out.links) == len(g.links) + 1
-    assert set(neighborhood(out, "nic0")) >= {"cpu0", "cpu1"}
+    assert set(neighbors(out, "nic0")) >= {"cpu0", "cpu1"}
     degree = sum(1 for l in out.links if "nic0" in (l.endpoint_a, l.endpoint_b))
     assert degree == sum(1 for l in g.links
                          if "nic0" in (l.endpoint_a, l.endpoint_b)) + 1
