@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
+import stat
 import sys
 
 from . import contention, lineformat, parallelism, pricing, topology
@@ -41,12 +41,29 @@ def _read(path: str) -> str:
         return lineformat.decode(fh.read())
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_out(text, out: str | None) -> None:
+    """Write `text`, a string or an iterable of string chunks, to the file
+    `out` as UTF-8, or to stdout if `out` is None.
+
+    An existing file is overwritten in place from offset 0 and then cut at
+    the end of the new text, also when writing raises, so it never keeps a
+    stale tail after new bytes.  It is not truncated first: closing a file
+    that was truncated to zero and written again makes ext4 flush it
+    (`auto_da_alloc`), which costs far more than the write.  A target that
+    is not a regular file, such as /dev/null or a pipe, is not cut.
+    """
+    chunks = (text,) if isinstance(text, str) else text
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    # a descriptor opened in mode "w" is not truncated, unlike a path
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8") as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +151,9 @@ def cmd_plan(args) -> int:
     print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
           f"{total!r} s total")
     if args.matrix:
-        _write_out(matrix.to_csv(), args.matrix)
+        _write_out(matrix.csv_chunks(), args.matrix)
     if args.json:
-        _write_out(json.dumps(matrix.to_json_obj(), indent=2) + "\n", args.json)
+        _write_out(matrix.json_chunks(), args.json)
     return EXIT_OK
 
 

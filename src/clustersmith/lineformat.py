@@ -27,8 +27,12 @@ def decode(data: bytes) -> str:
 
 
 def records(text: str):
-    """A `Line` for each line of `text` that holds a token, in file order."""
-    for no, raw in enumerate(text.splitlines(), start=1):
+    """A `Line` for each line of `text` that holds a token, in file order.
+    Lines end at `\\n`, `\\r\\n` or `\\r` only, as in an editor: not at the
+    other breaks `str.splitlines` knows, such as U+2028 in a comment."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for no, raw in enumerate(text.split("\n"), start=1):
         body = raw.partition("#")[0]
         tokens = body.split()
         if tokens:

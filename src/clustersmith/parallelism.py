@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -209,26 +211,61 @@ class TimeMatrix:
                 key=lambda i: (self.row_totals[i], self.levels[i].n, i))
         return self.levels[i], self.row_totals[i]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["level"] + [f"t{k + 1}" for k in range(self.phase_count)]
-                        + ["total"])
-        for level, row, total in zip(self.levels, self.entries, self.row_totals):
-            writer.writerow([level.name] + [repr(x) for x in row] + [repr(total)])
-        return buf.getvalue()
+    def _cells(self, runs, encode) -> list[tuple[str, int]]:
+        """One level's row as `(text, count)` runs of `encode`d cells,
+        padded with 0.0 to `phase_count`."""
+        pad = self.phase_count - sum(count for _, count in runs)
+        return [(encode(t), count) for t, count in runs] + [(encode(0.0), pad)]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "levels": [
-                {"name": lv.name, "strategy": lv.strategy.value, "n": lv.n,
-                 "payload_bytes": lv.payload_bytes}
-                for lv in self.levels
-            ],
-            "phase_count": self.phase_count,
-            "entries": [list(row) for row in self.entries],
-            "row_totals": list(self.row_totals),
-        }
+    def csv_chunks(self):
+        """The matrix as CSV text, in chunks: a `level,t1,...,total` header,
+        then each level's name, phase times and total."""
+        yield "level"
+        for lo in range(0, self.phase_count, 1024):
+            yield "".join(f",t{k + 1}" for k in
+                          range(lo, min(lo + 1024, self.phase_count)))
+        yield ",total\n"
+        for level, runs, total in zip(self.levels, self.runs, self.row_totals):
+            name = io.StringIO()
+            csv.writer(name, lineterminator="\n").writerow([level.name])
+            yield name.getvalue()[:-1]  # quoted as in a whole row
+            yield from _repeated(self._cells(runs, repr), ",")
+            yield f",{total!r}\n"
+
+    def json_chunks(self):
+        """The matrix as `json.dumps(obj, indent=2) + "\\n"` text, in chunks,
+        where obj holds `levels`, `phase_count`, `entries` and `row_totals`."""
+        def nested(value):  # `value` at depth 1 of the indented object
+            return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+        levels = [{"name": lv.name, "strategy": lv.strategy.value, "n": lv.n,
+                   "payload_bytes": lv.payload_bytes} for lv in self.levels]
+        yield (f'{{\n  "levels": {nested(levels)},\n  "phase_count": '
+               f'{self.phase_count},\n  "entries": [')
+        for i, runs in enumerate(self.runs):
+            yield ",\n    [" if i else "\n    ["
+            cells = _repeated(self._cells(runs, json.dumps), ",\n      ")
+            first = next(cells, None)
+            if first is None:
+                yield "]"
+                continue
+            yield first[1:]  # no comma before the first cell
+            yield from cells
+            yield "\n    ]"
+        yield "\n  ]" if self.runs else "]"
+        yield f',\n  "row_totals": {nested(list(self.row_totals))}\n}}\n'
+
+
+def _repeated(cells, prefix: str):
+    """`prefix + text` repeated `count` times for each `(text, count)` of
+    `cells`, in chunks of about 8 KiB, so a long run is never held whole."""
+    for text, count in cells:
+        cell = prefix + text
+        per = max(1, 8192 // len(cell))
+        full, rest = divmod(count, per)
+        yield from itertools.repeat(cell * per, full)
+        if rest:
+            yield cell * rest
 
 
 def build_time_matrix(levels, g: TopologyGraph) -> TimeMatrix:

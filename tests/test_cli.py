@@ -1,11 +1,14 @@
 import contextlib
 import csv
 import io
+import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -242,13 +245,13 @@ def test_plan_memory_does_not_grow_with_microbatches(capsys, tmp_path,
                                                      nvlink4_path, nvlink4):
     levels = tmp_path / "levels.txt"
 
-    def plan(microbatches):
+    def plan(microbatches, *outputs):
         levels.write_text("level pp strategy=pipeline_p2p participants=gpu0,gpu1 "
                           f"payload=0 activation=1e8 microbatches={microbatches}\n")
         tracemalloc.start()
         try:
             result = run(capsys, "plan", "--topo", nvlink4_path,
-                         "--levels", str(levels))
+                         "--levels", str(levels), *outputs)
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,6 +266,16 @@ def test_plan_memory_does_not_grow_with_microbatches(capsys, tmp_path,
         assert peak - base_peak < 64 * 1024
         assert result == (0, "selected pp (pipeline_p2p, n=2): "
                           f"{float(microbatches) * t!r} s total\n", "")
+    # the matrix files are written a chunk at a time, never held whole
+    matrix, as_json = tmp_path / "matrix.csv", tmp_path / "matrix.json"
+    outputs = ("--matrix", str(matrix), "--json", str(as_json))
+    plan(1, *outputs)
+    _, base_peak = plan(1, *outputs)
+    result, peak = plan(10 ** 5, *outputs)
+    assert peak - base_peak < 64 * 1024
+    assert result[0] == 0
+    assert matrix.read_text().count(f",{t!r}") == 10 ** 5
+    assert json.loads(as_json.read_text())["entries"] == [[t] * 10 ** 5]
 
 
 FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=10e9\n"
@@ -648,3 +661,171 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, nvlink4_path):
                  ["stagger", "--flows", str(bad), "--upstream", "16"]):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", expected), argv
+
+
+# ---------------------------------------------------------------------------
+# Output files: every output is overwritten in place, then cut to length
+
+
+def output_commands(tmp_path, nvlink4_path):
+    """`(argv, output paths)` for every command that writes a file."""
+    levels, flows = tmp_path / "levels.txt", tmp_path / "flows.txt"
+    levels.write_text(LEVELS)
+    flows.write_text(FLOWS)
+    out = [str(tmp_path / f"out{i}") for i in range(7)]
+    return [
+        (["topo", "export", nvlink4_path, "--out", out[0]], out[:1]),
+        (["topo", "export", nvlink4_path, "--format", "topo", "--out", out[1]],
+         out[1:2]),
+        (["plan", "--topo", nvlink4_path, "--levels", str(levels),
+          "--matrix", out[2], "--json", out[3]], out[2:4]),
+        (["stagger", "--flows", str(flows), "--upstream", "16",
+          "--events", out[4]], out[4:5]),
+        (["gnn", "train", "--count", "30", "--epochs", "5",
+          "--out", out[5], "--loss-csv", out[6]], out[5:7]),
+    ]
+
+
+def written(capsys, argv, paths):
+    code, out, err = run(capsys, *argv)
+    return code, out, err, [Path(p).read_bytes() for p in paths]
+
+
+def test_outputs_overwrite_longer_files_with_no_stale_tail(capsys, tmp_path,
+                                                           nvlink4_path):
+    for argv, paths in output_commands(tmp_path, nvlink4_path):
+        fresh = written(capsys, argv, paths)
+        assert fresh[0] == 0, argv
+        for p in paths:
+            with open(p, "wb") as fh:
+                fh.write(b"stale\n" * 100_000)
+        # into longer existing files, then again into its own output
+        assert written(capsys, argv, paths) == fresh, argv
+        assert written(capsys, argv, paths) == fresh, argv
+
+
+def test_outputs_open_no_file_truncating(capsys, tmp_path, nvlink4_path,
+                                         monkeypatch):
+    """The flush ext4 starts on closing a file truncated to zero and written
+    again is avoided only if no output is opened with O_TRUNC: not by
+    `os.open`, and not by `open` of a path in a writing mode.  (`open` of a
+    descriptor in mode "w" truncates nothing.)"""
+    from clustersmith import cli
+    flags, modes = [], []
+    os_open, builtin_open = os.open, open
+
+    def spy_os_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            modes.append(mode)
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    commands = output_commands(tmp_path, nvlink4_path)
+    for _ in range(2):  # into new files, then into existing ones
+        for argv, _ in commands:
+            assert run(capsys, *argv)[0] == 0, argv
+    assert len(flags) == 2 * sum(len(paths) for _, paths in commands)
+    assert not [f for f in flags if f & os.O_TRUNC]
+    assert set(modes) <= {"rb"}
+
+
+def test_matrix_to_dev_null_exits_0(capsys, tmp_path, nvlink4_path):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(LEVELS)
+    code, out, _ = run(capsys, "plan", "--topo", nvlink4_path, "--levels",
+                       str(levels), "--matrix", os.devnull, "--json", os.devnull)
+    assert code == 0 and "selected r2" in out
+
+
+def test_matrix_to_a_pipe(tmp_path, nvlink4_path):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(LEVELS)
+    matrix = tmp_path / "matrix.csv"
+    argv = ["plan", "--topo", nvlink4_path, "--levels", str(levels)]
+    assert main(argv + ["--matrix", str(matrix)]) == 0
+    src = Path(parallelism.__file__).parents[1]
+    env = dict(os.environ, CLUSTERSMITH_NO_COLOR="1", PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustersmith.cli", *argv,
+         "--matrix", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert matrix.read_bytes() in proc.stdout
+
+
+def test_output_through_a_symlink_writes_its_target(capsys, tmp_path,
+                                                    nvlink4_path):
+    target, link = tmp_path / "target.dot", tmp_path / "link.dot"
+    target.write_text("old\n" * 10_000)
+    link.symlink_to(target)
+    assert run(capsys, "topo", "export", nvlink4_path, "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    code, out, _ = run(capsys, "topo", "export", nvlink4_path)
+    assert (code, target.read_text()) == (0, out)
+
+
+@pytest.mark.parametrize("target", ["directory", "read-only", "under-a-file"])
+def test_unwritable_output_exits_1(capsys, tmp_path, nvlink4_path, monkeypatch,
+                                   target):
+    path = tmp_path / "out"
+    if target == "directory":
+        path.mkdir()
+    elif target == "under-a-file":
+        path.write_text("old\n")
+        path = path / "out"
+    else:
+        path.write_text("old\n")
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):  # a privileged user may write it anyway
+            os_open = os.open
+
+            def refuse(file, flags, *args, **kwargs):
+                if file == str(path) and flags & os.O_WRONLY:
+                    raise PermissionError(13, "Permission denied", file)
+                return os_open(file, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
+    code, out, err = run(capsys, "topo", "export", nvlink4_path,
+                         "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("i/o error: ")
+    if target == "read-only":
+        assert path.read_text() == "old\n"
+
+
+def test_failed_write_leaves_at_most_the_written_prefix(tmp_path):
+    from clustersmith.cli import _write_out
+
+    def chunks():
+        yield "new 1\n" * 2000
+        yield "new 2\n"
+        raise RuntimeError("generator failed")
+
+    new = "new 1\n" * 2000 + "new 2\n"
+    for failing, error in ((chunks(), RuntimeError),
+                           (["new 1\n" * 2000, "new 2\n", "\ud800"],
+                            UnicodeEncodeError)):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n" * 100_000)
+        with pytest.raises(error):
+            _write_out(failing, str(path))
+        text = path.read_text()
+        assert new.startswith(text) and "old" not in text
+
+
+def test_new_output_mode_follows_umask(capsys, tmp_path, nvlink4_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert run(capsys, "topo", "export", nvlink4_path,
+                   "--out", str(tmp_path / "out"))[0] == 0
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "out").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o640

@@ -60,6 +60,28 @@ def test_records_skip_comments_and_blank_lines():
         (3, ["a", "b=1"]), (5, ["c"])]
 
 
+# every character `str.splitlines` breaks at besides \n, \r\n and \r
+OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newlines_end_a_line(brk):
+    text = f"node a kind=Gpu\r\nnode b kind=Gpu # note{brk}node c kind=Gpu\rx\ny"
+    assert [(line.no, line.tokens) for line in records(text)] == [
+        (1, ["node", "a", "kind=Gpu"]), (2, ["node", "b", "kind=Gpu"]),
+        (3, ["x"]), (4, ["y"])]
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_comment_breaks_move_no_line_number(tmp_path, inputs, brk):
+    path = tmp_path / "input.topo"
+    path.write_text(f"node a kind=Gpu\nnode b kind=Gpu # note{brk}node c kind=Gpu\n"
+                    "\nnode a kind=Gpu\n", encoding="utf-8")
+    # the comment hides node c, and the 4th line is reported as line 4
+    assert run(argv_for("topo", str(path), inputs)) == (
+        2, "", "error: line 4, col 6: duplicate node id 'a'\n")
+
+
 @pytest.mark.parametrize("kind,text,message", [
     ("topo", "node box kind=Gpu x", "line 1, col 19: expected key=value, got 'x'"),
     ("topo", "  \tnode box kind=Gpu x  # tab",

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -255,13 +257,61 @@ def test_matrix_pads_its_rows(dual_socket):
 def test_matrix_serialization(nvlink4):
     m = build_time_matrix([ring(4, 10e9, name="r4"), ring(2, 10e9, name="r2")],
                           nvlink4)
-    csv_text = m.to_csv()
+    csv_text = "".join(m.csv_chunks())
     lines = csv_text.strip().splitlines()
     assert lines[0] == "level,t1,t2,t3,t4,t5,t6,total"
     assert len(lines) == 3
-    obj = json.loads(json.dumps(m.to_json_obj()))
+    obj = json.loads("".join(m.json_chunks()))
     assert obj["phase_count"] == 6
     assert obj["row_totals"][1] == pytest.approx(0.25)
+
+
+def expanded_csv(m):
+    """Oracle: the CSV written whole, from the expanded `entries`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["level"] + [f"t{k + 1}" for k in range(m.phase_count)]
+                    + ["total"])
+    for level, row, t in zip(m.levels, m.entries, m.row_totals):
+        writer.writerow([level.name] + [repr(x) for x in row] + [repr(t)])
+    return buf.getvalue()
+
+
+def expanded_json(m):
+    """Oracle: `json.dumps` of the whole matrix, from the expanded `entries`."""
+    return json.dumps({
+        "levels": [{"name": lv.name, "strategy": lv.strategy.value, "n": lv.n,
+                    "payload_bytes": lv.payload_bytes} for lv in m.levels],
+        "phase_count": m.phase_count,
+        "entries": [list(row) for row in m.entries],
+        "row_totals": list(m.row_totals),
+    }, indent=2) + "\n"
+
+
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                max_size=4)
+MATRIX_RUNS = st.lists(st.tuples(st.floats(0, 1e300), st.sampled_from(
+    [1, 2, 3, 3000])), max_size=2)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(rows=st.lists(st.tuples(NAMES, MATRIX_RUNS), max_size=4))
+def test_streamed_matrix_text_equals_the_expanded_text(rows):
+    # names that need CSV quoting or JSON escapes, empty and padded rows, and
+    # runs longer than one chunk
+    levels = tuple(ring(2, 1e9, name=name) for name, _ in rows)
+    m = TimeMatrix(levels, tuple(runs for _, runs in rows))
+    assert "".join(m.csv_chunks()) == expanded_csv(m)
+    assert "".join(m.json_chunks()) == expanded_json(m)
+
+
+def test_streamed_matrix_chunks_stay_small():
+    lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
+                       participants=("gpu0", "gpu1"), payload_bytes=0,
+                       microbatches=10 ** 5, activation_bytes=1e8)
+    m = TimeMatrix((lv,), (((0.0125, 10 ** 5),),))
+    for chunks in (m.csv_chunks(), m.json_chunks()):
+        assert max(map(len, chunks)) <= 16 * 1024
 
 
 # ---------------------------------------------------------------------------
