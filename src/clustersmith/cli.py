@@ -15,7 +15,7 @@ import stat
 import sys
 
 from . import contention, lineformat, parallelism, pricing, topology
-from .errors import ClusterError
+from .errors import ClusterError, ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -50,20 +50,32 @@ def _write_out(text, out: str | None) -> None:
     stale tail after new bytes.  It is not truncated first: closing a file
     that was truncated to zero and written again makes ext4 flush it
     (`auto_da_alloc`), which costs far more than the write.  A target that
-    is not a regular file, such as /dev/null or a pipe, is not cut.
+    is not a regular file, such as /dev/null or a pipe, is not cut.  A
+    target that is stdout's own file, such as /dev/stdout, is written
+    through stdout, after what was printed before.
     """
     chunks = (text,) if isinstance(text, str) else text
-    if not out:
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666) if out else None
+    if fd is None or _is_stdout(fd):
+        if fd is not None:
+            os.close(fd)
         sys.stdout.writelines(chunks)
         return
     # a descriptor opened in mode "w" is not truncated, unlike a path
-    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              encoding="utf-8") as fh:
+    with open(fd, "w", encoding="utf-8") as fh:
         try:
             fh.writelines(chunks)
         finally:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
+
+
+def _is_stdout(fd: int) -> bool:
+    """Whether `fd` is open on the file that `sys.stdout` writes to."""
+    try:
+        return os.path.samestat(os.fstat(fd), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # a stdout with no file, as under capture
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +89,11 @@ _LEVEL_NUMBERS = (("window", "window_packets", int),
                   ("activation", "activation_bytes", float))
 
 
-def load_levels(text: str) -> list[parallelism.ParallelLevel]:
+def load_levels(text: str,
+                g: topology.TopologyGraph) -> list[parallelism.ParallelLevel]:
     """`level <name> strategy=<s> participants=a,b,c payload=<bytes> ...`,
-    in the line format of `clustersmith.lineformat`."""
+    in the line format of `clustersmith.lineformat`, each checked against
+    the graph `g` as `parallelism.comm_time` checks it."""
     levels = []
     for line in lineformat.records(text):
         tokens = line.tokens
@@ -96,9 +110,14 @@ def load_levels(text: str) -> list[parallelism.ParallelLevel]:
         participants = tuple(p for p in kv.pop("participants").split(",") if p)
         payload = line.number(kv, "payload")
         line.no_more(kv, "level")
-        levels.append(line.build(
+        level = line.build(
             parallelism.ParallelLevel, name=tokens[1], strategy=strategy,
-            participants=participants, payload_bytes=payload, **kwargs))
+            participants=participants, payload_bytes=payload, **kwargs)
+        try:
+            parallelism.check_level(level, g)
+        except ValidationError as exc:  # at the field's token, else the line's
+            raise line.error(str(exc), exc.at[1] if exc.at else 0) from exc
+        levels.append(level)
     return levels
 
 
@@ -143,9 +162,9 @@ def cmd_topo(args) -> int:
 
 def cmd_plan(args) -> int:
     g = topology.load_topology(_read(args.topo))
-    levels = load_levels(_read(args.levels))
+    levels = load_levels(_read(args.levels), g)
     if not levels:
-        raise ClusterError("no levels in levels file")
+        raise ValidationError("no levels in levels file")
     matrix = parallelism.build_time_matrix(levels, g)
     winner, total = matrix.winner()
     print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
@@ -160,7 +179,7 @@ def cmd_plan(args) -> int:
 def cmd_stagger(args) -> int:
     flows = load_flows(_read(args.flows))
     if not flows:
-        raise ClusterError("no flows in flows file")
+        raise ValidationError("no flows in flows file")
     sw = contention.SwitchModel(
         args.upstream, args.upstream if args.cap is None else args.cap)
     naive = contention.simulate(flows, sw)
@@ -192,15 +211,13 @@ def cmd_price(args) -> int:
             _ok(f"{len(cells)} cells within 0.01")
             return EXIT_OK
         if args.funding is None or args.monthly is None:
-            raise ClusterError("coverage needs --funding and --monthly "
-                               "(or --tables)")
+            raise ValidationError("coverage needs --funding and --monthly "
+                                  "(or --tables)")
         months = pricing.coverage_months(
             pricing.FundingLevel("funding", args.funding),
             pricing.RentalQuote("quote", args.monthly))
         print(f"{months:.2f}")
         return EXIT_OK
-    if args.monthly is None:
-        raise ClusterError("breakeven needs --monthly")
     months = pricing.break_even(
         pricing.PurchaseOption(capex=args.capex, monthly_opex=args.opex),
         pricing.RentalQuote("quote", args.monthly))
@@ -225,13 +242,11 @@ def cmd_gnn(args) -> int:
             _write_out("\n".join(lines) + "\n", args.loss_csv)
         print(f"trained on {args.count} samples; validation MAPE {mape:.4f}")
         return EXIT_OK
-    if not (args.model and args.topo and args.level):
-        raise ClusterError("gnn predict needs --model, --topo, and --level")
     model = gnn.load_model(_read(args.model))
     g = topology.load_topology(_read(args.topo))
-    levels = load_levels(_read(args.level))
+    levels = load_levels(_read(args.level), g)
     if len(levels) != 1:
-        raise ClusterError("gnn predict expects exactly one level")
+        raise ValidationError("gnn predict expects exactly one level")
     level = levels[0]
     predicted = gnn.predict_seconds(model, g, level)
     print(f"predicted {predicted!r} s")
@@ -254,11 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("topo", help="validate or export a topology file")
-    p.add_argument("action", choices=["validate", "export"])
-    p.add_argument("file")
-    p.add_argument("--format", choices=["dot", "topo"], default="dot")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_topo)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("validate", help="check a topology file")
+    a.add_argument("file")
+    a = actions.add_parser("export", help="write a topology as DOT or .topo")
+    a.add_argument("file")
+    a.add_argument("--format", choices=["dot", "topo"], default="dot")
+    a.add_argument("--out")
 
     p = sub.add_parser("plan", help="evaluate parallel levels on a topology")
     p.add_argument("--topo", required=True)
@@ -276,29 +294,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stagger)
 
     p = sub.add_parser("price", help="coverage ratios and break-even")
-    p.add_argument("action", choices=["coverage", "breakeven"])
-    p.add_argument("--funding", type=float)
-    p.add_argument("--monthly", type=float)
-    p.add_argument("--capex", type=float, default=0.0)
-    p.add_argument("--opex", type=float, default=0.0)
-    p.add_argument("--tables", action="store_true",
-                   help="recompute every bundled table cell")
     p.set_defaults(func=cmd_price)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("coverage", help="months of rent a funding covers")
+    a.add_argument("--funding", type=float)
+    a.add_argument("--monthly", type=float)
+    a.add_argument("--tables", action="store_true",
+                   help="recompute every bundled table cell")
+    a = actions.add_parser("breakeven", help="months until buying pays off")
+    a.add_argument("--monthly", type=float, required=True)
+    a.add_argument("--capex", type=float, default=0.0)
+    a.add_argument("--opex", type=float, default=0.0)
 
     p = sub.add_parser("gnn", help="train or query the learned cost model")
-    p.add_argument("action", choices=["train", "predict"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--learning-rate", type=float, default=5e-2)
-    p.add_argument("--out", help="model file to write (train)")
-    p.add_argument("--loss-csv", help="loss history CSV (train)")
-    p.add_argument("--model", help="model file to read (predict)")
-    p.add_argument("--topo", help="topology file (predict)")
-    p.add_argument("--level", help="single-level file (predict)")
-    p.add_argument("--compare", action="store_true",
-                   help="also print the analytic time (predict)")
     p.set_defaults(func=cmd_gnn)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("train", help="train a model on generated graphs")
+    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--count", type=int, default=200)
+    a.add_argument("--epochs", type=int, default=500)
+    a.add_argument("--learning-rate", type=float, default=5e-2)
+    a.add_argument("--out", help="model file to write")
+    a.add_argument("--loss-csv", help="loss history CSV")
+    a = actions.add_parser("predict", help="predict one level's time")
+    a.add_argument("--model", required=True, help="model file to read")
+    a.add_argument("--topo", required=True, help="topology file")
+    a.add_argument("--level", required=True, help="single-level file")
+    a.add_argument("--compare", action="store_true",
+                   help="also print the analytic time")
     return parser
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (InvalidLaneFraction, Unreachable, UnknownNode,
-                     ValidationError)
+from .errors import ValidationError
 from .topology import Link, NodeKind, TopologyGraph
 
 GB = 1e9  # bytes
@@ -50,9 +49,8 @@ class ResolvedPath:
 def link_time(nbytes: float, link: Link, lane_fraction: float = 1.0) -> float:
     """Seconds to move nbytes across one link at a given lane fraction."""
     if lane_fraction not in ALLOWED_FRACTIONS:
-        raise InvalidLaneFraction(
-            f"lane_fraction must be one of {ALLOWED_FRACTIONS}, got {lane_fraction}"
-        )
+        raise ValidationError(f"lane_fraction must be one of "
+                              f"{ALLOWED_FRACTIONS}, got {lane_fraction}")
     a = nbytes / (link.bandwidth * GB)
     return a / lane_fraction + link.extra_overhead_b * US + link.latency * US
 
@@ -164,8 +162,9 @@ class RoutingIndex:
         constrained = _needs_host_memory(self.gdr, self.kinds[s], self.kinds[t])
         bottleneck = self._bottleneck(s, t, constrained)
         if not bottleneck:
-            raise Unreachable(f"no route from {src!r} to {dst!r}"
-                              + (" honoring host-memory staging" if constrained else ""))
+            raise ValidationError(
+                f"no route from {src!r} to {dst!r}"
+                + (" honoring host-memory staging" if constrained else ""))
         start, goal = 2 * s + (not constrained), 2 * t + 1
 
         # Hop distances to the goal over links at least `bottleneck` wide,

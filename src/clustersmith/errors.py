@@ -1,7 +1,8 @@
-"""Exceptions, and the one rule for numbers, shared by all modules.
+"""The two domain errors, and the one rule for numbers, shared by all modules.
 
-Every domain error derives from ClusterError so the CLI can map any
-of them to exit code 2; I/O errors stay OSError (exit code 1).
+A ParseError is text that cannot be read, at a line and column; a
+ValidationError is input that breaks a rule.  Both derive from ClusterError,
+which the CLI maps to exit code 2; I/O errors stay OSError (exit code 1).
 """
 
 import math
@@ -23,8 +24,8 @@ class ParseError(ClusterError):
 
 
 class ValidationError(ClusterError):
-    """Structurally well-formed input violating a graph invariant; `at` is
-    the (declaration, field) that broke a rule spanning declarations."""
+    """Well-formed input that breaks a rule; `at`, if given, is the
+    (declaration, field) at fault."""
 
     def __init__(self, message, at=None):
         super().__init__(message)
@@ -43,46 +44,3 @@ def check_number(what: str, value, positive: bool = False) -> None:
     raise ValidationError(f"{what} must be finite and "
                           f"{'> 0' if positive else '>= 0'}, got {got}")
 
-
-class UnknownNode(ClusterError):
-    pass
-
-
-class Unreachable(ClusterError):
-    pass
-
-
-class InvalidLaneFraction(ClusterError):
-    pass
-
-
-class InvalidTransformTarget(ClusterError):
-    pass
-
-
-class TransformConflict(ClusterError):
-    pass
-
-
-class MissingServerNode(ClusterError):
-    pass
-
-
-class TooFewParticipants(ClusterError):
-    pass
-
-
-class NonSymmetricInput(ClusterError):
-    pass
-
-
-class DimensionMismatch(ClusterError):
-    pass
-
-
-class EmptyDataset(ClusterError):
-    pass
-
-
-class NeverBreaksEven(ClusterError):
-    pass

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lineformat
-from .errors import (DimensionMismatch, EmptyDataset, NonSymmetricInput,
-                     ParseError, ValidationError, check_number)
+from .errors import ParseError, ValidationError, check_number
 from .parallelism import ParallelLevel, Strategy, comm_time, total
 from .topology import Link, LinkKind, Node, NodeKind, TopologyGraph, build_graph
 
@@ -34,9 +33,9 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     D^{-1/2} (A + I) D^{-1/2}."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
-        raise NonSymmetricInput("adjacency must be a symmetric square matrix")
+        raise ValidationError("adjacency must be a symmetric square matrix")
     if np.any(np.diag(a) != 0):
-        raise NonSymmetricInput("adjacency must have a zero diagonal")
+        raise ValidationError("adjacency must have a zero diagonal")
     a_hat = a + np.eye(a.shape[0])
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
@@ -110,14 +109,14 @@ class GraphBatch:
     def __init__(self, pairs):
         pairs = list(pairs)
         if not pairs:
-            raise EmptyDataset("a batch needs at least one graph")
+            raise ValidationError("a batch needs at least one graph")
         dim = pairs[0][1].shape[-1]
         for a_hat, h in pairs:
             if h.ndim != 2 or a_hat.shape != (len(h), len(h)):
-                raise DimensionMismatch("adjacency/features row mismatch")
+                raise ValidationError("adjacency/features row mismatch")
             if h.shape[1] != dim:
-                raise DimensionMismatch("graphs in a batch must share a "
-                                        "feature dimension")
+                raise ValidationError("graphs in a batch must share a "
+                                      "feature dimension")
         n = max(len(h) for _, h in pairs)
         self.a_hat = np.zeros((len(pairs), n, n))
         ah = np.zeros((len(pairs), n, dim))
@@ -150,10 +149,8 @@ def _forward(model: GnnModel, batch: GraphBatch):
     with s = A_hat x_in and x = relu(s W + b) the layer's output, both as
     stacked (B * N, F) rows."""
     if batch.ah.shape[1] != model.weights[0].shape[0]:
-        raise DimensionMismatch(
-            f"feature dim {batch.ah.shape[1]} != model input dim "
-            f"{model.weights[0].shape[0]}"
-        )
+        raise ValidationError(f"feature dim {batch.ah.shape[1]} != model "
+                              f"input dim {model.weights[0].shape[0]}")
     s, layers = batch.ah, []
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         if k:
@@ -274,7 +271,7 @@ def _random_instance(rng: random.Random):
 def generate_dataset(seed: int, count: int) -> list:
     """Seeded random (graph, level, analytic label) triples."""
     if count < 1:
-        raise EmptyDataset("count must be >= 1")
+        raise ValidationError("count must be >= 1")
     rng = random.Random(seed)
     samples = []
     for _ in range(count):
@@ -310,7 +307,7 @@ def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
     mutated in place and also returned.
     """
     if not samples:
-        raise EmptyDataset("training needs at least one sample")
+        raise ValidationError("training needs at least one sample")
     order = list(range(len(samples)))
     random.Random(cfg.seed).shuffle(order)
     n_train = max(1, int(round(SPLIT * len(order))))
@@ -353,7 +350,7 @@ def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
 def validation_mape(model: GnnModel, samples, val_idx) -> float:
     """Mean absolute percentage error in the seconds domain."""
     if not val_idx:
-        raise EmptyDataset("validation needs at least one held-out sample")
+        raise ValidationError("validation needs at least one held-out sample")
     batch = GraphBatch(_inputs(samples[i].graph, samples[i].level)
                        for i in val_idx)
     z = _forward(model, batch)[0]
@@ -393,8 +390,10 @@ def load_model(text: str) -> GnnModel:
     """
     lines = lineformat.records(text)
     header = next(lines, None)
-    if header is None or header.tokens != FORMAT_VERSION.split():
-        raise DimensionMismatch("unrecognized model format header")
+    if header is None:  # an empty file: at its first line
+        raise ParseError("unrecognized model format header", 1, 1)
+    if header.tokens != FORMAT_VERSION.split():
+        raise header.error("unrecognized model format header")
     fields = {}
     for line in lines:
         key = line.tokens[0]

@@ -16,23 +16,29 @@ from .errors import ParseError, ValidationError
 
 
 def decode(data: bytes) -> str:
-    """`data` as UTF-8 text; a ParseError at the first byte that is not."""
+    """`data` as UTF-8 text; a ParseError at the first byte that is not,
+    its line and column counted as `records` counts them."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         at = exc.start
+        lines = _lines(data[:at].decode("utf-8"))
         raise ParseError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}",
-                         data.count(b"\n", 0, at) + 1,
-                         at - data.rfind(b"\n", 0, at)) from None
+                         len(lines), len(lines[-1]) + 1) from None
+
+
+def _lines(text: str) -> list[str]:
+    """`text` split at `\\n`, `\\r\\n` or `\\r` only, as in an editor: not at
+    the other breaks `str.splitlines` knows, such as U+2028 in a comment."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def records(text: str):
-    """A `Line` for each line of `text` that holds a token, in file order.
-    Lines end at `\\n`, `\\r\\n` or `\\r` only, as in an editor: not at the
-    other breaks `str.splitlines` knows, such as U+2028 in a comment."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for no, raw in enumerate(text.split("\n"), start=1):
+    """A `Line` for each line of `text` that holds a token, in file order;
+    lines end as `_lines` ends them."""
+    for no, raw in enumerate(_lines(text), start=1):
         body = raw.partition("#")[0]
         tokens = body.split()
         if tokens:

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .commcost import GB, US, resolve_path
-from .errors import (MissingServerNode, TooFewParticipants, ValidationError,
-                     check_number)
+from .errors import ValidationError, check_number
 from .topology import NodeKind, TopologyGraph
 
 
@@ -94,7 +93,7 @@ def traffic_for_level(
     transfers repeated `count` times."""
     n = level.n
     if n < 1:
-        raise TooFewParticipants("level needs at least one participant")
+        raise ValidationError("level needs at least one participant")
     if n == 1:
         return ()
     p = level.participants
@@ -105,9 +104,8 @@ def traffic_for_level(
         return ((phase, 2 * (n - 1)),)
     if level.strategy in _SERVER_KINDS:
         if level.server is None:
-            raise MissingServerNode(
-                f"{level.strategy.value} needs a server= node"
-            )
+            raise ValidationError(
+                f"{level.strategy.value} needs a server= node")
         up = tuple(Transfer(w, level.server, m) for w in p)
         down = tuple(Transfer(level.server, w, m) for w in p)
         return (up, 1), (down, 1)
@@ -119,16 +117,32 @@ def traffic_for_level(
     raise ValueError(f"unknown strategy {level.strategy!r}")
 
 
-def _check_server_kind(level: ParallelLevel, g: TopologyGraph) -> None:
+def check_level(level: ParallelLevel, g: TopologyGraph) -> None:
+    """Reject what `comm_time` would of `level` on `g` before routing it: a
+    ValidationError naming the level, `at` the (level, field) at fault, or
+    None when no one field is."""
+    def fail(message, field=None):
+        raise ValidationError(f"level {level.name!r}: {message}",
+                              at=field and (level, field))
+
+    if not level.participants:
+        fail("needs at least one participant", "participants")
+    for p in level.participants:
+        if p not in g.index:
+            fail(f"unknown node {p!r}", "participants")
     kinds = _SERVER_KINDS.get(level.strategy)
-    if kinds is None or level.server is None:
+    if kinds is None:
         return
-    server = g.node(level.server)
-    if server.kind not in kinds:
-        raise MissingServerNode(
-            f"server {level.server!r} is {server.kind.value}, expected one of "
-            + "/".join(k.value for k in kinds)
-        )
+    if level.server is None:
+        if level.n > 1:  # a single participant prices as no traffic
+            fail(f"{level.strategy.value} needs a server= node")
+        return
+    if level.server not in g.index:
+        fail(f"unknown node {level.server!r}", "server")
+    kind = g.node(level.server).kind
+    if kind not in kinds:
+        fail(f"server {level.server!r} is {kind.value}, expected one of "
+             + "/".join(k.value for k in kinds), "server")
 
 
 def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
@@ -142,7 +156,7 @@ def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
 def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int], ...]:
     """`(seconds, count)` of each run of one level on a topology; `total`
     of them is the level's time."""
-    _check_server_kind(level, g)
+    check_level(level, g)
     window_cap = (_window_cap_bytes_per_s(level)  # inf: no window bound
                   if level.strategy == Strategy.IN_NETWORK_AGGREGATION
                   else float("inf"))
@@ -271,7 +285,7 @@ def _repeated(cells, prefix: str):
 def build_time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
     levels = tuple(levels)
     if not levels:
-        raise TooFewParticipants("need at least one level")
+        raise ValidationError("need at least one level")
     return TimeMatrix(levels, tuple(comm_time(lv, g) for lv in levels))
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
-from .errors import NeverBreaksEven, ValidationError, check_number
+from .errors import ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ def break_even(p: PurchaseOption, q: RentalQuote) -> int:
     net = q.monthly - p.monthly_opex
     if p.capex == 0:
         if net < 0:
-            raise NeverBreaksEven("opex exceeds rent")
+            raise ValidationError("opex exceeds rent")
         return 1
     if net <= 0:
-        raise NeverBreaksEven("rent never overtakes ownership cost")
+        raise ValidationError("rent never overtakes ownership cost")
     months = p.capex / net
     if not math.isfinite(months):
         raise ValidationError("break-even month count overflows")

@@ -19,13 +19,7 @@ from enum import Enum
 from functools import cached_property
 
 from . import lineformat
-from .errors import (
-    InvalidTransformTarget,
-    TransformConflict,
-    UnknownNode,
-    ValidationError,
-    check_number,
-)
+from .errors import ValidationError, check_number
 
 
 class NodeKind(str, Enum):
@@ -129,7 +123,7 @@ class TopologyGraph:
 
     def node(self, node_id: str) -> Node:
         if node_id not in self.index:
-            raise UnknownNode(f"unknown node {node_id!r}")
+            raise ValidationError(f"unknown node {node_id!r}")
         return self.nodes[self.index[node_id]]
 
     def incident(self, node_id: str) -> list[Link]:
@@ -309,19 +303,18 @@ def apply_transform(g: TopologyGraph, t) -> TopologyGraph:
         return _socket_direct(g, t)
     if isinstance(t, EnableGdr):
         if g.gdr:
-            raise TransformConflict("GDR already enabled")
+            raise ValidationError("GDR already enabled")
         return replace(g, gdr=True)
     if isinstance(t, AttachPcieSwitch):
         return _attach_pcie_switch(g, t)
-    raise InvalidTransformTarget(f"unknown transform {t!r}")
+    raise ValidationError(f"unknown transform {t!r}")
 
 
 def _require_kind(g, node_id, kind, what):
     node = g.node(node_id)
     if node.kind != kind:
-        raise InvalidTransformTarget(
-            f"{what} expects a {kind.value} node, {node_id!r} is {node.kind.value}"
-        )
+        raise ValidationError(f"{what} expects a {kind.value} node, "
+                              f"{node_id!r} is {node.kind.value}")
     return node
 
 
@@ -333,13 +326,13 @@ def _partition_nic(g, t):
     same rate (the host side still flows through the parent).
     """
     if t.parts not in (2, 4):
-        raise InvalidTransformTarget("parts must be 2 or 4")
+        raise ValidationError("parts must be 2 or 4")
     _require_kind(g, t.nic_id, NodeKind.NIC, "PartitionNic")
     port_links = [l for l in g.incident(t.nic_id) if l.kind in _NETWORK_KINDS]
     if not port_links:
-        raise InvalidTransformTarget(f"{t.nic_id!r} has no network port link")
+        raise ValidationError(f"{t.nic_id!r} has no network port link")
     if len(port_links) > 1:
-        raise TransformConflict(f"{t.nic_id!r} has multiple port links")
+        raise ValidationError(f"{t.nic_id!r} has multiple port links")
     port = port_links[0]
     peer = port.other(t.nic_id)
     child_bw = port.bandwidth / t.parts
@@ -348,7 +341,7 @@ def _partition_nic(g, t):
     for i in range(1, t.parts + 1):
         child = f"{t.nic_id}_p{i}"
         if child in g.index:
-            raise TransformConflict(f"{t.nic_id!r} already partitioned")
+            raise ValidationError(f"{t.nic_id!r} already partitioned")
         new_nodes.append(Node(id=child, kind=NodeKind.NIC))
         new_links.append(replace(port, endpoint_a=child, endpoint_b=peer,
                                  bandwidth=child_bw))
@@ -362,12 +355,12 @@ def _socket_direct(g, t):
     _require_kind(g, t.nic_id, NodeKind.NIC, "SocketDirect")
     sockets = [n.id for n in g.nodes if n.kind == NodeKind.CPU_SOCKET]
     if len(sockets) != 2:
-        raise InvalidTransformTarget("SocketDirect needs exactly 2 CpuSocket nodes")
+        raise ValidationError("SocketDirect needs exactly 2 CpuSocket nodes")
     attached = [l for l in g.incident(t.nic_id) if l.other(t.nic_id) in sockets]
     if len(attached) == 0:
-        raise InvalidTransformTarget(f"{t.nic_id!r} is not attached to a CpuSocket")
+        raise ValidationError(f"{t.nic_id!r} is not attached to a CpuSocket")
     if len(attached) > 1:
-        raise TransformConflict("SocketDirect already applied")
+        raise ValidationError("SocketDirect already applied")
     existing = attached[0]
     other = next(s for s in sockets if s != existing.other(t.nic_id))
     new_link = replace(existing, endpoint_a=t.nic_id, endpoint_b=other)
@@ -376,7 +369,7 @@ def _socket_direct(g, t):
 
 def _attach_pcie_switch(g, t):
     if t.upstream_lanes not in VALID_LANES:
-        raise InvalidTransformTarget(f"upstream_lanes must be one of {VALID_LANES}")
+        raise ValidationError(f"upstream_lanes must be one of {VALID_LANES}")
     g.node(t.parent_id)
     for gpu in t.downstream_gpu_ids:
         _require_kind(g, gpu, NodeKind.GPU, "AttachPcieSwitch")

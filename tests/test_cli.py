@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersmith import gnn, parallelism
+from clustersmith import gnn, parallelism, topology
 from clustersmith.cli import load_levels, main
 from clustersmith.commcost import RoutingIndex
 
@@ -193,7 +193,8 @@ def test_plan_evaluates_each_level_and_route_once(capsys, tmp_path, monkeypatch)
     # one route per transfer of each distinct phase; the GDR-off NIC
     # server's transfers take the host-memory detour
     transfers = Counter()
-    for level in load_levels(DUAL_SOCKET_LEVELS):
+    g = topology.load_topology(topo.read_text())
+    for level in load_levels(DUAL_SOCKET_LEVELS, g):
         for phase, _ in parallelism.traffic_for_level(level):
             transfers.update((x.src, x.dst) for x in phase)
     assert routes == transfers
@@ -258,8 +259,8 @@ def test_plan_memory_does_not_grow_with_microbatches(capsys, tmp_path,
 
     plan(1)  # first use: lazy imports and caches
     _, base_peak = plan(1)
-    (t, _), = parallelism.comm_time(load_levels(levels.read_text())[0],
-                                    nvlink4)
+    level, = load_levels(levels.read_text(), nvlink4)
+    (t, _), = parallelism.comm_time(level, nvlink4)
     # 10**6 first: a per-phase list would cost megabytes there, not gigabytes
     for microbatches in (10 ** 6, 10 ** 9):
         result, peak = plan(microbatches)
@@ -527,6 +528,9 @@ def test_gnn_train_zero_epochs_writes_the_initial_model(capsys, tmp_path):
     (lambda ls: ls[:2] + ["label_mu abc"] + ls[3:],
      "line 3, col 10: label_mu: not a number: 'abc'"),
     (lambda ls: ls[:9] + ["head_b nan"], "line 10, col 8: head_b: 'nan'"),
+    (lambda ls: ["# v2", "clustersmith-gnn v2"] + ls[1:],
+     "line 2, col 1: unrecognized model format header"),
+    (lambda ls: [], "line 1, col 1: unrecognized model format header"),
 ])
 def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
                                             edit, message):
@@ -649,6 +653,89 @@ def test_bad_server_exit_2(capsys, tmp_path, fields, message):
     assert err == f"error: line 6, col 1: level 'x': {message}\n"
 
 
+@pytest.mark.parametrize("fields,key,message", [
+    ("strategy=parameter_server participants=gpu0,gpu1", None,
+     "parameter_server needs a server= node"),
+    ("strategy=ring_allreduce participants=,", "participants",
+     "needs at least one participant"),
+    ("strategy=ring_allreduce participants=gpu0,gpu9", "participants",
+     "unknown node 'gpu9'"),
+    ("strategy=pipeline_p2p participants=gpu9", "participants",
+     "unknown node 'gpu9'"),
+    ("strategy=parameter_server participants=gpu0,gpu1 server=gpu2", "server",
+     "server 'gpu2' is Gpu, expected one of Nic/Dpu/CpuSocket"),
+    ("strategy=in_network_aggregation participants=gpu0,gpu1 server=zz",
+     "server", "unknown node 'zz'"),
+])
+def test_level_checked_against_the_graph_exit_2(capsys, tmp_path, fields, key,
+                                                message):
+    topo = tmp_path / "dual.topo"
+    topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
+    line = f"level x {fields} payload=1e6"
+    col = line.index(f" {key}=") + 2 if key else 1
+    levels = tmp_path / "levels.txt"
+    levels.write_text(DUAL_SOCKET_LEVELS.strip() + f"\n{line}\n")
+    code, out, err = run(capsys, "plan", "--topo", str(topo),
+                         "--levels", str(levels))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 6, col {col}: level 'x': {message}\n"
+    # the same level alone, with or without the analytic time
+    model = tmp_path / "model.txt"
+    model.write_text(gnn.save_model(gnn.init_model(seed=0)))
+    level = tmp_path / "level.txt"
+    level.write_text(f"# one level\n{line}\n")
+    for compare in ((), ("--compare",)):
+        code, out, err = run(capsys, "gnn", "predict", "--model", str(model),
+                             "--topo", str(topo), "--level", str(level),
+                             *compare)
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2, col {col}: level 'x': {message}\n"
+
+
+def test_single_participant_level_prices_as_no_traffic(capsys, tmp_path):
+    topo = tmp_path / "dual.topo"
+    topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
+    levels = tmp_path / "levels.txt"
+    levels.write_text("level solo strategy=parameter_server participants=gpu0 "
+                      "payload=1e9\n")
+    code, out, _ = run(capsys, "plan", "--topo", str(topo),
+                       "--levels", str(levels))
+    assert code == 0
+    assert out == "selected solo (parameter_server, n=1): 0.0 s total\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gnn", "predict", "--epochs", "3"],
+    ["gnn", "train", "--compare"],
+    ["gnn", "train", "--model", "m.txt"],
+    ["price", "breakeven", "--funding", "5"],
+    ["price", "breakeven", "--tables"],
+    ["price", "coverage", "--capex", "5"],
+    ["topo", "validate", "x.topo", "--format", "topo"],
+    ["topo", "validate", "x.topo", "--out", "y"],
+])
+def test_each_action_takes_only_its_own_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "are required" in err
+
+
+@pytest.mark.parametrize("argv,required", [
+    (["gnn", "predict"], "--model, --topo, --level"),
+    (["gnn", "predict", "--model", "m", "--topo", "t"], "--level"),
+    (["price", "breakeven", "--capex", "5"], "--monthly"),
+])
+def test_required_action_options(capsys, argv, required):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: the following arguments are required: "
+                        f"{required}\n")
+
+
 def test_non_utf8_input_exit_2(capsys, tmp_path, nvlink4_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"# comment\nnode a kind=\xffGpu\n")
@@ -756,6 +843,27 @@ def test_matrix_to_a_pipe(tmp_path, nvlink4_path):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert matrix.read_bytes() in proc.stdout
+
+
+def test_outputs_to_dev_stdout_follow_stdout_in_order(tmp_path, nvlink4_path):
+    # redirected to a file, /dev/stdout reopens that file: the outputs must
+    # still follow the printed line, as they do into a pipe
+    levels = tmp_path / "levels.txt"
+    levels.write_text(LEVELS)
+    src = Path(parallelism.__file__).parents[1]
+    env = dict(os.environ, CLUSTERSMITH_NO_COLOR="1", PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "clustersmith.cli", "plan", "--topo",
+            nvlink4_path, "--levels", str(levels)]
+    for outputs in (["--matrix", "/dev/stdout"], ["--json", "/dev/stdout"],
+                    ["--matrix", "/dev/stdout", "--json", "/dev/stdout"]):
+        piped = subprocess.run(argv + outputs, stdout=subprocess.PIPE,
+                               env=env, timeout=120, check=True).stdout
+        assert piped.startswith(b"selected r2 ")
+        path = tmp_path / "stdout.txt"
+        with open(path, "wb") as fh:
+            subprocess.run(argv + outputs, stdout=fh, env=env, timeout=120,
+                           check=True)
+        assert path.read_bytes() == piped, outputs
 
 
 def test_output_through_a_symlink_writes_its_target(capsys, tmp_path,

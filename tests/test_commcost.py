@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustersmith.commcost import link_time, path_time, resolve_path
-from clustersmith.errors import InvalidLaneFraction, Unreachable, UnknownNode
+from clustersmith.errors import ValidationError
 from clustersmith.topology import (
     EnableGdr,
     Link,
@@ -54,7 +54,8 @@ def test_link_time_zero_payload():
 
 
 def test_link_time_rejects_bad_fraction():
-    with pytest.raises(InvalidLaneFraction):
+    with pytest.raises(ValidationError,
+                       match=r"lane_fraction must be one of .*, got 0\.3"):
         link_time(1e9, make_link(10.0), 0.3)
 
 
@@ -131,9 +132,9 @@ def test_gdr_on_takes_direct_hop():
 
 def test_unknown_and_unreachable():
     g = load_topology("node a kind=Gpu\nnode b kind=Gpu")
-    with pytest.raises(UnknownNode):
+    with pytest.raises(ValidationError, match="unknown node 'zz'"):
         resolve_path(g, "a", "zz")
-    with pytest.raises(Unreachable):
+    with pytest.raises(ValidationError, match="no route from 'a' to 'b'"):
         resolve_path(g, "a", "b")
 
 
@@ -190,7 +191,8 @@ def test_resolve_matches_enumeration_on_random_graphs():
                 expect = best_path_by_enumeration(g, src, dst)
                 if expect is None:
                     for graph in (g, direct):
-                        with pytest.raises(Unreachable):
+                        with pytest.raises(ValidationError,
+                                           match="no route from"):
                             resolve_path(graph, src, dst)
                     unreachable += 1
                     continue
@@ -255,7 +257,7 @@ def test_bottleneck_matches_state_graph_oracle_at_scale():
                 if width:
                     assert resolve_path(g, src, dst).bottleneck_bandwidth == width
                 else:
-                    with pytest.raises(Unreachable):
+                    with pytest.raises(ValidationError, match="no route from"):
                         resolve_path(g, src, dst)
                 kinds = {g.node(src).kind, g.node(dst).kind}
                 constrained = (not g.gdr and NodeKind.GPU in kinds and (
@@ -292,7 +294,8 @@ def test_gdr_off_always_stages_in_memory_random():
             for dst in nics:
                 try:
                     p = resolve_path(g, src, dst)
-                except Unreachable:
+                except ValidationError as exc:
+                    assert str(exc).startswith("no route from")
                     continue
                 assert any(g.node(x).kind == NodeKind.HOST_MEMORY
                            for x in p.nodes)

@@ -1,8 +1,23 @@
-"""The one number rule that every declared number obeys."""
+"""The two error types, and the one number rule that every declared
+number obeys."""
+
+import importlib
+import pkgutil
 
 import pytest
 
-from clustersmith.errors import ValidationError, check_number
+import clustersmith
+from clustersmith.errors import (ClusterError, ParseError, ValidationError,
+                                 check_number)
+
+
+def test_two_error_types():
+    # every module loaded, so that a subclass declared anywhere is seen
+    for info in pkgutil.iter_modules(clustersmith.__path__):
+        importlib.import_module(f"clustersmith.{info.name}")
+    assert set(ClusterError.__subclasses__()) == {ParseError, ValidationError}
+    assert ParseError.__subclasses__() == []
+    assert ValidationError.__subclasses__() == []
 
 
 @pytest.mark.parametrize("value,positive,got", [

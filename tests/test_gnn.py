@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from clustersmith import gnn
-from clustersmith.errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    NonSymmetricInput,
-    ParseError,
-    ValidationError,
-)
+from clustersmith.errors import ParseError, ValidationError
 from clustersmith.gnn import (
     FEATURE_DIM,
     GnnModel,
@@ -62,9 +56,11 @@ def test_normalized_adjacency_k_regular_diagonal():
 
 
 def test_normalized_adjacency_rejects_asymmetric():
-    with pytest.raises(NonSymmetricInput):
+    with pytest.raises(ValidationError, match="adjacency must be a "
+                       "symmetric square matrix"):
         normalized_adjacency(np.array([[0, 1], [0, 0]]))
-    with pytest.raises(NonSymmetricInput):
+    with pytest.raises(ValidationError,
+                       match="adjacency must have a zero diagonal"):
         normalized_adjacency(np.array([[1.0]]))
 
 
@@ -99,9 +95,12 @@ def test_forward_single_node_identity():
 
 def test_forward_dimension_mismatch():
     model = init_model(seed=0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError,
+                       match=f"feature dim 3 != model input dim "
+                       f"{FEATURE_DIM}"):
         forward(model, np.eye(2), np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError,
+                       match="adjacency/features row mismatch"):
         forward(model, np.eye(3), np.zeros((2, FEATURE_DIM)))
 
 
@@ -305,9 +304,11 @@ def test_padding_size_changes_nothing():
 
 def test_graph_batch_rejects_bad_stacks():
     pairs, _ = _mixed_batch(1)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError,
+                       match="a batch needs at least one graph"):
         GraphBatch([])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="graphs in a batch must share "
+                       "a feature dimension"):
         GraphBatch(pairs + [(np.eye(2), np.zeros((2, 3)))])
 
 
@@ -347,7 +348,7 @@ def test_dataset_deterministic():
 
 def test_dataset_single_sample():
     assert len(generate_dataset(seed=1, count=1)) == 1
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError, match="count must be >= 1"):
         generate_dataset(seed=1, count=0)
 
 
@@ -406,7 +407,8 @@ def test_validation_mape_needs_held_out_samples():
     model, _, val_idx = train(init_model(seed=2), samples,
                               TrainConfig(epochs=3, seed=2))
     assert val_idx == []
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError, match="validation needs at least "
+                       "one held-out sample"):
         validation_mape(model, samples, val_idx)
 
 
@@ -422,7 +424,8 @@ def test_validation_mape_matches_per_sample_predictions():
 
 
 def test_training_empty_dataset():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError,
+                       match="training needs at least one sample"):
         train(init_model(seed=0), [], TrainConfig())
 
 
@@ -447,8 +450,14 @@ def test_model_round_trip():
 
 
 def test_load_model_rejects_garbage():
-    with pytest.raises(DimensionMismatch):
-        load_model("not a model\n")
+    # a ParseError at the header's first token, or at line 1 if there is none
+    for text, at in (("not a model\n", "line 1, col 1"),
+                     ("# note\n  not a model\n", "line 2, col 3"),
+                     ("", "line 1, col 1"),
+                     ("# only a comment\n", "line 1, col 1")):
+        with pytest.raises(ParseError, match=f"^{at}: unrecognized model "
+                           "format header$"):
+            load_model(text)
 
 
 def _model_text():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from clustersmith import gnn
 from clustersmith.cli import main
-from clustersmith.lineformat import records
+from clustersmith.errors import ParseError
+from clustersmith.lineformat import decode, records
 
 PRESETS = resources.files("clustersmith.presets")
 DUAL = PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text()
@@ -70,6 +71,23 @@ def test_only_newlines_end_a_line(brk):
     assert [(line.no, line.tokens) for line in records(text)] == [
         (1, ["node", "a", "kind=Gpu"]), (2, ["node", "b", "kind=Gpu"]),
         (3, ["x"]), (4, ["y"])]
+
+
+@pytest.mark.parametrize("data,at", [
+    (b"node a kind=Gpu\rnode b kind=\xffGpu\r", "line 2, col 13"),
+    (b"node a kind=Gpu\r\nnode b kind=\xffGpu\r\n", "line 2, col 13"),
+    (b"node a kind=Gpu\nnode b kind=\xffGpu\n", "line 2, col 13"),
+    (b"node a kind=Gpu\r\xff", "line 2, col 1"),
+    (b"node \xc3\xa9\xe2\x82\xac kind=\xffGpu", "line 1, col 14"),
+    # U+2028 in a comment ends no line; the lone \r does
+    (b"# \xe2\x80\xa8\rnode \xc3\xa9 kind=\xff", "line 2, col 13"),
+], ids=["lone-cr", "crlf", "lf", "after-cr", "multi-byte", "u2028-then-cr"])
+def test_bad_byte_is_placed_as_records_places_tokens(data, at):
+    # lines end as `records` ends them, and columns count characters
+    with pytest.raises(ParseError) as info:
+        decode(data)
+    offset = data.index(b"\xff")
+    assert str(info.value) == f"{at}: not UTF-8: byte 0xff at offset {offset}"
 
 
 @pytest.mark.parametrize("brk", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersmith.errors import (MissingServerNode, TooFewParticipants,
-                                 ValidationError)
+from clustersmith.errors import ValidationError
 from clustersmith.parallelism import (
     ParallelLevel,
     Strategy,
@@ -80,7 +79,8 @@ def test_parameter_server_flows():
 def test_parameter_server_needs_server():
     lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
                        participants=("gpu0", "gpu1"), payload_bytes=1e9)
-    with pytest.raises(MissingServerNode):
+    with pytest.raises(ValidationError,
+                       match="parameter_server needs a server= node"):
         traffic_for_level(lv)
 
 
@@ -92,7 +92,8 @@ def test_degenerate_single_participant():
 
 
 def test_zero_participants_rejected():
-    with pytest.raises(TooFewParticipants):
+    with pytest.raises(ValidationError,
+                       match="level needs at least one participant"):
         traffic_for_level(ParallelLevel(name="none",
                                         strategy=Strategy.RING_ALLREDUCE,
                                         participants=(), payload_bytes=1e9))
@@ -164,7 +165,8 @@ def test_ina_requires_network_switch_server():
                        server="cpu")
     g = load_topology(PAIR + "node cpu kind=CpuSocket\n"
                       "link gpu1 cpu kind=Pcie bw=16\n")
-    with pytest.raises(MissingServerNode):
+    with pytest.raises(ValidationError, match="^level 'ina': server 'cpu' is "
+                       "CpuSocket, expected one of NetworkSwitch$"):
         comm_time(lv, g)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clustersmith.errors import NeverBreaksEven
+from clustersmith.errors import ValidationError
 from clustersmith.pricing import (
     FundingLevel,
     PurchaseOption,
@@ -82,7 +82,8 @@ def test_break_even_examples():
 
 
 def test_break_even_never():
-    with pytest.raises(NeverBreaksEven):
+    with pytest.raises(ValidationError,
+                       match="rent never overtakes ownership cost"):
         break_even(PurchaseOption(capex=1000.0, monthly_opex=100.0),
                    RentalQuote("q", 100.0))
 
