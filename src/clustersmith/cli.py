@@ -15,7 +15,7 @@ import stat
 import sys
 
 from . import contention, lineformat, parallelism, pricing, topology
-from .errors import ClusterError, ValidationError
+from .errors import ClusterError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -164,7 +164,7 @@ def cmd_plan(args) -> int:
     g = topology.load_topology(_read(args.topo))
     levels = load_levels(_read(args.levels), g)
     if not levels:
-        raise ValidationError("no levels in levels file")
+        raise ParseError("no levels in levels file", 1, 1)
     matrix = parallelism.build_time_matrix(levels, g)
     winner, total = matrix.winner()
     print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
@@ -179,7 +179,7 @@ def cmd_plan(args) -> int:
 def cmd_stagger(args) -> int:
     flows = load_flows(_read(args.flows))
     if not flows:
-        raise ValidationError("no flows in flows file")
+        raise ParseError("no flows in flows file", 1, 1)
     sw = contention.SwitchModel(
         args.upstream, args.upstream if args.cap is None else args.cap)
     naive = contention.simulate(flows, sw)
@@ -244,9 +244,13 @@ def cmd_gnn(args) -> int:
         return EXIT_OK
     model = gnn.load_model(_read(args.model))
     g = topology.load_topology(_read(args.topo))
-    levels = load_levels(_read(args.level), g)
-    if len(levels) != 1:
-        raise ValidationError("gnn predict expects exactly one level")
+    text = _read(args.level)
+    levels = load_levels(text, g)
+    if len(levels) != 1:  # at the second level, or at the top of an empty file
+        message = "gnn predict expects exactly one level"
+        lines = lineformat.records(text)
+        second = next(lines, None) and next(lines, None)
+        raise second.error(message) if second else ParseError(message, 1, 1)
     level = levels[0]
     predicted = gnn.predict_seconds(model, g, level)
     print(f"predicted {predicted!r} s")

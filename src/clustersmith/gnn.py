@@ -38,7 +38,7 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
         raise ValidationError("adjacency must have a zero diagonal")
     a_hat = a + np.eye(a.shape[0])
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    return a_hat * np.outer(d_inv_sqrt, d_inv_sqrt)  # symmetric as `a` is
 
 
 def node_features(g: TopologyGraph, level: ParallelLevel) -> np.ndarray:
@@ -89,21 +89,26 @@ def init_model(seed: int) -> GnnModel:
 
 def forward(model: GnnModel, a_hat: np.ndarray, h: np.ndarray) -> float:
     """Scalar prediction in normalized log space."""
-    predictions = _forward(model, GraphBatch([(a_hat, h)]))[0]
-    return float(predictions[0])
+    return float(_forward(model, GraphBatch([(a_hat, h)]))[0][0])
 
 
 class GraphBatch:
-    """Graphs zero-padded to one node count, for one pass over all of them.
+    """Graphs packed into shared blocks, for one pass over all of them.
 
-    `a_hat` is (B, N, N); `pool` is (B, N) with 1/|V| on a graph's own nodes
-    and 0 on padding, so pooling is a masked mean.  A padded node's zero
-    adjacency column keeps it out of every real node's aggregation, and its
-    zero pool weight keeps it out of the output, so padding changes no
-    prediction or gradient.  Node rows are stacked as (B * N, F) matrices,
-    so each layer's weight product is one matrix product, and `ones @ rows`
-    sums them.  `ah` is A_hat H, the first layer's input, which stays fixed
-    while the weights train.
+    Graphs are placed first-fit decreasing by node count into blocks N rows
+    wide, N the largest graph's node count.  Graph k, in the order given,
+    holds rows `starts[k]` to `starts[k] + sizes[k]`, inside one block;
+    `row_graph` names each row's graph, and is len(sizes) on padding rows.
+    `a_hat` is (blocks, N, N), block-diagonal within a block, and node rows
+    are stacked as (blocks * N, F) matrices, so each layer's weight product
+    is one matrix product and `ones @ rows` sums them.  A padding row's
+    zero adjacency column keeps it out of every real node's aggregation,
+    and the pool sums only a graph's own rows, so padding changes no
+    prediction or gradient.  Each row's head product is taken on its own
+    and summed in row order, so a graph's prediction is bit for bit its own
+    B = 1 `forward`, wherever it sits.  `ah` is A_hat H, the first layer's
+    input, fixed while the weights train.  Each A_hat must be symmetric, as
+    `normalized_adjacency` makes it: the backward pass aggregates with it.
     """
 
     def __init__(self, pairs):
@@ -114,26 +119,43 @@ class GraphBatch:
         for a_hat, h in pairs:
             if h.ndim != 2 or a_hat.shape != (len(h), len(h)):
                 raise ValidationError("adjacency/features row mismatch")
+            if not len(h):
+                raise ValidationError("a graph needs at least one node")
+            if not np.array_equal(a_hat, a_hat.T):
+                raise ValidationError("a_hat must be symmetric")
             if h.shape[1] != dim:
                 raise ValidationError("graphs in a batch must share a "
                                       "feature dimension")
-        n = max(len(h) for _, h in pairs)
-        self.a_hat = np.zeros((len(pairs), n, n))
-        ah = np.zeros((len(pairs), n, dim))
-        self.pool = np.zeros((len(pairs), n))
+        sizes = [len(h) for _, h in pairs]
+        n = max(sizes)
+        # first fit decreasing: each graph, largest first, into the first
+        # block with room for it
+        starts, used = [0] * len(pairs), []
+        for k in sorted(range(len(pairs)), key=lambda k: -sizes[k]):
+            block = next((b for b, u in enumerate(used) if u + sizes[k] <= n),
+                         len(used))
+            if block == len(used):
+                used.append(0)
+            starts[k] = block * n + used[block]
+            used[block] += sizes[k]
+        self.starts, self.sizes = starts, np.array(sizes)
+        self.a_hat = np.zeros((len(used), n, n))
+        self.ah = np.zeros((len(used) * n, dim))
+        self.row_graph = np.full(len(self.ah), len(pairs))
         for k, (a_hat, h) in enumerate(pairs):
-            self.a_hat[k, :len(h), :len(h)] = a_hat
-            ah[k, :len(h)] = a_hat @ h
-            self.pool[k, :len(h)] = 1.0 / len(h)
-        self.ah = ah.reshape(-1, dim)
+            start, stop = starts[k], starts[k] + len(h)
+            block, at = divmod(start, n)
+            self.a_hat[block, at:at + len(h), at:at + len(h)] = a_hat
+            self.ah[start:stop] = a_hat @ h
+            self.row_graph[start:stop] = k
         self.ones = np.ones(len(self.ah))
         self._buffers = {}
 
-    def _aggregate(self, a: np.ndarray, x: np.ndarray, key) -> np.ndarray:
-        """a @ x for each graph, with x as stacked (B * N, F) rows."""
+    def _aggregate(self, x: np.ndarray, key) -> np.ndarray:
+        """A_hat x for each block, with x as stacked (blocks * N, F) rows."""
         out = self._buffer(key, x.shape)
-        shape = (len(a), -1, x.shape[1])
-        np.matmul(a, x.reshape(shape), out=out.reshape(shape))
+        shape = (len(self.a_hat), -1, x.shape[1])
+        np.matmul(self.a_hat, x.reshape(shape), out=out.reshape(shape))
         return out
 
     def _buffer(self, key, shape) -> np.ndarray:
@@ -145,23 +167,24 @@ class GraphBatch:
 
 
 def _forward(model: GnnModel, batch: GraphBatch):
-    """Predictions (B,), pooled features (B, F) and, per layer, (s, x)
-    with s = A_hat x_in and x = relu(s W + b) the layer's output, both as
-    stacked (B * N, F) rows."""
+    """Predictions, one per graph, and per layer (s, x) with s = A_hat x_in
+    and x = relu(s W + b) the layer's output, both as stacked rows."""
     if batch.ah.shape[1] != model.weights[0].shape[0]:
         raise ValidationError(f"feature dim {batch.ah.shape[1]} != model "
                               f"input dim {model.weights[0].shape[0]}")
     s, layers = batch.ah, []
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         if k:
-            s = batch._aggregate(batch.a_hat, x, ("s", k))
+            s = batch._aggregate(x, ("s", k))
         x = np.matmul(s, w, out=batch._buffer(("x", k), (len(s), w.shape[1])))
         x += b
         np.maximum(x, 0.0, out=x)
         layers.append((s, x))
-    pooled = np.matmul(batch.pool[:, None, :],
-                       x.reshape(len(batch.pool), -1, x.shape[1]))[:, 0, :]
-    return pooled @ model.head_w + model.head_b, pooled, layers
+    # each row's head product on its own, summed in row order over its
+    # graph's rows: a matrix-vector product would round a row by its place
+    head = np.einsum("rf,f->r", x, model.head_w)
+    sums = np.bincount(batch.row_graph, head, len(batch.sizes) + 1)[:-1]
+    return sums / batch.sizes + model.head_b, layers
 
 
 @dataclass
@@ -183,15 +206,16 @@ def batch_gradients(model: GnnModel, batch: GraphBatch,
                     targets) -> Gradients:
     """Exact reverse-mode gradients of the summed squared error
     sum_k (prediction_k - target_k)^2 over the batch."""
-    pred, pooled, layers = _forward(model, batch)
+    pred, layers = _forward(model, batch)
     err = pred - np.asarray(targets, dtype=float)
     d_pred = 2.0 * err
-    # d loss / d x_last: the head weights spread over each graph's own nodes
-    d_x = batch._buffer("dx", layers[-1][1].shape)
-    np.multiply((d_pred[:, None] * model.head_w)[:, None, :],
-                batch.pool[:, :, None],
-                out=d_x.reshape(len(batch.pool), -1, d_x.shape[1]))
-    a_hat_t = np.swapaxes(batch.a_hat, 1, 2)
+    # d loss / d (a row's head product): its graph's d_pred / |V|, 0 on padding
+    coef = np.append(d_pred / batch.sizes, 0.0)[batch.row_graph]
+    x_last = layers[-1][1]
+    g_head_w = coef @ x_last
+    # the outer product coef x head_w: einsum is twice as fast as broadcasting
+    d_x = np.einsum("r,f->rf", coef, model.head_w,
+                    out=batch._buffer("dx", x_last.shape))
     g_w, g_b = [], []
     for k in reversed(range(len(model.weights))):
         s, x = layers[k]
@@ -199,12 +223,12 @@ def batch_gradients(model: GnnModel, batch: GraphBatch,
         g_w.append(s.T @ d_x)
         g_b.append(batch.ones @ d_x)
         if k:
-            d_s = np.matmul(d_x, model.weights[k].T,
+            # a contiguous W.T multiplies three times as fast as the view
+            d_s = np.matmul(d_x, model.weights[k].T.copy(),
                             out=batch._buffer("ds", s.shape))
-            d_x = batch._aggregate(a_hat_t, d_s, "dx")
-    return Gradients(weights=g_w[::-1], biases=g_b[::-1],
-                     head_w=d_pred @ pooled, head_b=float(d_pred.sum()),
-                     loss=float(err @ err))
+            d_x = batch._aggregate(d_s, "dx")  # A_hat is symmetric
+    return Gradients(weights=g_w[::-1], biases=g_b[::-1], head_w=g_head_w,
+                     head_b=float(d_pred.sum()), loss=float(err @ err))
 
 
 def _inputs(g: TopologyGraph, level: ParallelLevel):
@@ -386,7 +410,8 @@ def load_model(text: str) -> GnnModel:
 
     A missing, repeated or unknown field, a value that is not a finite
     number, and a field of the wrong length raise ParseError naming the
-    field and its line.
+    field, at its line, or at the line after the file's last for a field
+    that is missing.
     """
     lines = lineformat.records(text)
     header = next(lines, None)
@@ -403,7 +428,8 @@ def load_model(text: str) -> GnnModel:
 
     def values(key, size=None, positive=False):
         if key not in fields:
-            raise ParseError(f"missing field {key!r}")
+            raise ParseError(f"missing field {key!r}",
+                             lineformat.line_after(text), 1)
         line = fields.pop(key)
         try:
             out = list(map(float, line.tokens[1:]))

@@ -35,6 +35,13 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+def line_after(text: str) -> int:
+    """The number of the line after `text`'s last, counted as `records`
+    counts lines: where something missing from the whole file is placed."""
+    lines = _lines(text)
+    return len(lines) + (lines[-1] != "")
+
+
 def records(text: str):
     """A `Line` for each line of `text` that holds a token, in file order;
     lines end as `_lines` ends them."""

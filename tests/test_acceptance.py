@@ -232,6 +232,7 @@ def test_acceptance_7_gnn_verification():
     assert gnn.save_model(model_a) == gnn.save_model(model_b)
     mape = gnn.validation_mape(model_a, dataset, val_idx)
     assert mape <= 0.25, mape
+    assert f"{mape:.4f}" == "0.1608"
     assert time.perf_counter() - start < 120.0
     report(7)
 

@@ -10,6 +10,7 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -450,6 +451,59 @@ def test_gnn_train_deterministic_and_predict(capsys, tmp_path, nvlink4_path):
                        "--compare")
     assert code == 0
     assert "predicted" in out and "relative error" in out
+
+
+def test_gnn_train_mape_is_the_mean_gnn_predict_error(capsys, tmp_path):
+    model = tmp_path / "model.txt"
+    code, out, _ = run(capsys, "gnn", "train", "--seed", "3", "--count", "20",
+                       "--epochs", "20", "--out", str(model))
+    assert code == 0
+    samples = gnn.generate_dataset(seed=3, count=20)
+    _, _, val_idx = gnn.train(gnn.init_model(seed=3), samples,
+                              gnn.TrainConfig(seed=3, epochs=0))
+    errs = []
+    for i in val_idx:
+        s = samples[i]
+        topo, level = tmp_path / f"{i}.topo", tmp_path / f"{i}.level"
+        topo.write_text(topology.export_topo(s.graph))
+        level.write_text(f"level ring strategy=ring_allreduce participants="
+                         f"{','.join(s.level.participants)} "
+                         f"payload={s.level.payload_bytes!r}\n")
+        code, predicted, _ = run(capsys, "gnn", "predict", "--model", str(model),
+                                 "--topo", str(topo), "--level", str(level))
+        assert code == 0
+        seconds = float(predicted.split()[1])
+        errs.append(abs(seconds - s.label_seconds) / s.label_seconds)
+    mape = gnn.validation_mape(gnn.load_model(model.read_text()), samples,
+                               val_idx)
+    assert mape == np.mean(errs)
+    assert out == f"trained on 20 samples; validation MAPE {mape:.4f}\n"
+
+
+R2 = "level r2 strategy=ring_allreduce participants=gpu0,gpu1 payload=1e9\n"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("plan", "# nothing here\n", "line 1, col 1: no levels in levels file"),
+    ("plan", "", "line 1, col 1: no levels in levels file"),
+    ("stagger", "\n# no flows\n", "line 1, col 1: no flows in flows file"),
+    ("predict", "# none\n",
+     "line 1, col 1: gnn predict expects exactly one level"),
+    ("predict", R2 + "# another\n  " + R2.replace("r2", "r3"),
+     "line 3, col 3: gnn predict expects exactly one level"),
+])
+def test_file_level_errors_are_placed(capsys, tmp_path, nvlink4_path,
+                                      command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    model = tmp_path / "model.txt"
+    model.write_text(gnn.save_model(gnn.init_model(seed=0)))
+    argv = {"plan": ["plan", "--topo", nvlink4_path, "--levels", str(path)],
+            "stagger": ["stagger", "--flows", str(path), "--upstream", "16"],
+            "predict": ["gnn", "predict", "--model", str(model),
+                        "--topo", nvlink4_path, "--level", str(path)]}
+    code, out, err = run(capsys, *argv[command])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_gnn_predict_zero_weight_model(capsys, tmp_path, nvlink4_path):

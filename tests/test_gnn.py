@@ -286,7 +286,7 @@ def test_padding_size_changes_nothing():
            np.random.default_rng(5).uniform(size=(20, gnn.FEATURE_DIM)))
     runs, widths = [], []
     # the same batch with one more graph: a copy of the first, or a 20-node
-    # ring that pads every graph to 20 nodes
+    # ring that widens every block to 20 rows and so repacks every graph
     for extra in (pairs[0], big):
         batch = GraphBatch(pairs + [extra])
         widths.append(batch.a_hat.shape[1])
@@ -298,8 +298,52 @@ def test_padding_size_changes_nothing():
     assert widths[0] < widths[1] == 20
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.allclose(runs[0][1], runs[1][1], rtol=0, atol=1e-12)
-    assert runs[0][0] == pytest.approx([forward(model, a, h) for a, h in pairs],
-                                       rel=0, abs=1e-12)
+    assert np.array_equal(runs[0][0], [forward(model, a, h) for a, h in pairs])
+
+
+def test_graph_batch_packs_each_graph_into_one_block():
+    rng = random.Random(3)
+    pairs, _ = _mixed_batch(7, count=40)
+    for size in (1, 2, 9, 40):
+        chosen = rng.sample(pairs, size)
+        batch = GraphBatch(chosen)
+        blocks, width = batch.a_hat.shape[:2]
+        assert width == max(len(h) for _, h in chosen)
+        assert len(batch.ah) == blocks * width
+        taken = np.full(len(batch.ah), -1)
+        for k, (a_hat, h) in enumerate(chosen):
+            start, size_k = batch.starts[k], batch.sizes[k]
+            assert size_k == len(h)
+            # one contiguous run of rows, inside one block, used by no other
+            block, at = divmod(start, width)
+            assert at + size_k <= width
+            assert (taken[start:start + size_k] == -1).all()
+            taken[start:start + size_k] = k
+            run = slice(at, at + size_k)
+            assert np.array_equal(batch.a_hat[block][run, run], a_hat)
+            assert np.array_equal(batch.ah[start:start + size_k], a_hat @ h)
+        assert np.array_equal(batch.row_graph,
+                              np.where(taken < 0, len(chosen), taken))
+        # nothing else in A_hat: it links no two graphs, and no padding row
+        assert np.count_nonzero(batch.a_hat) == \
+            sum(np.count_nonzero(a_hat) for a_hat, _ in chosen)
+
+
+def test_default_training_graphs_pack_with_little_padding(monkeypatch):
+    batches = []
+    real = gnn.batch_gradients
+
+    def keep(model, batch, targets):
+        batches.append(batch)
+        return real(model, batch, targets)
+
+    monkeypatch.setattr(gnn, "batch_gradients", keep)
+    train(init_model(seed=0), generate_dataset(seed=0, count=200),
+          TrainConfig(epochs=1))
+    batch, = batches
+    assert len(batch.sizes) == 160 and batch.sizes.sum() == 1126
+    # at most 10% padding, against 160 * 12 = 1,920 rows with a block per graph
+    assert len(batch.ah) <= 1248
 
 
 def test_graph_batch_rejects_bad_stacks():
@@ -310,6 +354,12 @@ def test_graph_batch_rejects_bad_stacks():
     with pytest.raises(ValidationError, match="graphs in a batch must share "
                        "a feature dimension"):
         GraphBatch(pairs + [(np.eye(2), np.zeros((2, 3)))])
+    with pytest.raises(ValidationError,
+                       match="a graph needs at least one node"):
+        GraphBatch(pairs + [(np.zeros((0, 0)), np.zeros((0, FEATURE_DIM)))])
+    with pytest.raises(ValidationError, match="a_hat must be symmetric"):
+        GraphBatch(pairs + [(np.array([[1.0, 0.5], [0.0, 1.0]]),
+                             np.zeros((2, FEATURE_DIM)))])
 
 
 def test_train_runs_one_batched_pass_per_epoch(monkeypatch):
@@ -318,7 +368,7 @@ def test_train_runs_one_batched_pass_per_epoch(monkeypatch):
     real = gnn.batch_gradients
 
     def counting(model, batch, targets):
-        passes.append(len(batch.pool))
+        passes.append(len(batch.sizes))
         return real(model, batch, targets)
 
     def per_sample(*args):
@@ -419,8 +469,7 @@ def test_validation_mape_matches_per_sample_predictions():
     errs = [abs(predict_seconds(model, samples[i].graph, samples[i].level)
                 - samples[i].label_seconds) / samples[i].label_seconds
             for i in val_idx]
-    assert validation_mape(model, samples, val_idx) == \
-        pytest.approx(np.mean(errs), rel=1e-12)
+    assert validation_mape(model, samples, val_idx) == np.mean(errs)
 
 
 def test_training_empty_dataset():
@@ -498,3 +547,15 @@ def test_load_model_rejects_malformed_fields(edit, message):
     with pytest.raises(ParseError) as exc:
         load_model("\n".join(edit(lines)) + "\n")
     assert message in str(exc.value)
+
+
+def test_missing_field_is_placed_after_the_last_line():
+    lines = _model_text().splitlines()
+    for text, at, missing in (
+            ("\n".join(lines[:2]) + "\n", 3, "label_mu"),
+            ("\n".join(lines[:2]), 3, "label_mu"),
+            ("\n".join(lines[:2]) + "\n\n# end\n", 5, "label_mu"),
+            ("\r\n".join(lines[:4]) + "\r\n", 5, "W0")):
+        with pytest.raises(ParseError, match=f"^line {at}, col 1: missing "
+                           f"field '{missing}'$"):
+            load_model(text)

@@ -14,6 +14,7 @@ from clustersmith.parallelism import (
     Strategy,
     TimeMatrix,
     build_time_matrix,
+    check_level,
     comm_time,
     select_level,
     total,
@@ -76,12 +77,13 @@ def test_parameter_server_flows():
     assert sum(f.bytes for f in down if f.src == "cpu") == pytest.approx(2e9)
 
 
-def test_parameter_server_needs_server():
+def test_parameter_server_needs_server(nvlink4):
     lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
                        participants=("gpu0", "gpu1"), payload_bytes=1e9)
-    with pytest.raises(ValidationError,
-                       match="parameter_server needs a server= node"):
-        traffic_for_level(lv)
+    for check in (check_level, comm_time):
+        with pytest.raises(ValidationError, match="^level 'ps': "
+                           "parameter_server needs a server= node$"):
+            check(lv, nvlink4)
 
 
 def test_degenerate_single_participant():
@@ -91,12 +93,13 @@ def test_degenerate_single_participant():
         assert traffic_for_level(lv) == ()
 
 
-def test_zero_participants_rejected():
-    with pytest.raises(ValidationError,
-                       match="level needs at least one participant"):
-        traffic_for_level(ParallelLevel(name="none",
-                                        strategy=Strategy.RING_ALLREDUCE,
-                                        participants=(), payload_bytes=1e9))
+def test_zero_participants_rejected(nvlink4):
+    lv = ParallelLevel(name="none", strategy=Strategy.RING_ALLREDUCE,
+                       participants=(), payload_bytes=1e9)
+    for check in (check_level, comm_time):
+        with pytest.raises(ValidationError, match="^level 'none': needs at "
+                           "least one participant$"):
+            check(lv, nvlink4)
 
 
 def test_pipeline_phases():
