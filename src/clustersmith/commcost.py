@@ -1,9 +1,10 @@
 """Transfer path resolution and single-transfer timing.
 
-Timing model per link: ``a / lane_fraction + b + latency`` where
-``a = bytes / bandwidth`` scales with lane width and ``b`` is a fixed
-per-link overhead that does not.  Halving the lanes therefore yields
-``2a + b`` rather than double the time.
+Timing law (`path_time`, Hockney's latency-bandwidth model): a transfer
+takes ``(latency + b) us + bytes / rate``, latency and fixed overhead ``b``
+summed over its links, at the bottleneck or a contended rate.  `link_time`
+scales one link's rate by a lane fraction, so halving the lanes yields
+``2a + b`` (``a = bytes / bw``); no command prices a lane fraction.
 
 Routing is widest-path (maximum bottleneck bandwidth), ties broken by
 fewer hops then by lexicographically smallest node-id sequence.  With
@@ -47,18 +48,23 @@ class ResolvedPath:
 
 
 def link_time(nbytes: float, link: Link, lane_fraction: float = 1.0) -> float:
-    """Seconds to move nbytes across one link at a given lane fraction."""
+    """Seconds to move nbytes across one link at a given lane fraction:
+    `path_time` of the one-link path at its rate scaled by the fraction."""
     if lane_fraction not in ALLOWED_FRACTIONS:
         raise ValidationError(f"lane_fraction must be one of "
                               f"{ALLOWED_FRACTIONS}, got {lane_fraction}")
-    a = nbytes / (link.bandwidth * GB)
-    return a / lane_fraction + link.extra_overhead_b * US + link.latency * US
+    path = ResolvedPath((link.endpoint_a, link.endpoint_b), (link,),
+                        link.bandwidth, link.latency, link.extra_overhead_b)
+    return path_time(nbytes, path, link.bandwidth * GB * lane_fraction)
 
 
-def path_time(nbytes: float, path: ResolvedPath) -> float:
-    """Cut-through composition: one payload term at the bottleneck rate."""
-    transfer = nbytes / (path.bottleneck_bandwidth * GB) if path.links else 0.0
-    return (path.total_latency + path.total_b) * US + transfer
+def path_time(nbytes: float, path: ResolvedPath,
+              rate: float | None = None) -> float:
+    """Seconds to move nbytes over a routed path, cut-through: its latency
+    and overhead plus the payload at `rate` bytes/s, default the bottleneck."""
+    if rate is None:
+        rate = path.bottleneck_bandwidth * GB
+    return (path.total_latency + path.total_b) * US + nbytes / rate
 
 
 def _needs_host_memory(gdr: bool, src_kind: NodeKind, dst_kind: NodeKind) -> bool:

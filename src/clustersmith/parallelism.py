@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .commcost import GB, US, resolve_path
+from .commcost import GB, US, path_time, resolve_path
 from .errors import ValidationError, check_number
 from .topology import NodeKind, TopologyGraph
 
@@ -170,9 +170,8 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int]
             for link, u in zip(path.links, path.nodes):
                 f = share[(id(link), u if link.duplex else None)]
                 rate = min(rate, link.bandwidth * GB / f)
-            t = (path.total_latency + path.total_b) * US + x.bytes / rate
-            t = max(t, x.bytes / window_cap)
-            phase_time = max(phase_time, t)
+            phase_time = max(phase_time, path_time(x.bytes, path, rate),
+                             x.bytes / window_cap)
         priced.append((phase_time, count))
     return tuple(priced)
 
@@ -203,15 +202,6 @@ class TimeMatrix:
             (sum(count for _, count in runs) for runs in self.runs), default=0))
         object.__setattr__(self, "row_totals", tuple(
             total(runs, lv.name) for lv, runs in zip(self.levels, self.runs)))
-
-    @property
-    def entries(self) -> tuple[tuple[float, ...], ...]:
-        """Per level, each run's time repeated `count` times, padded with
-        0.0 to `phase_count`."""
-        rows = [[t for t, count in runs for _ in range(count)]
-                for runs in self.runs]
-        return tuple(tuple(row + [0.0] * (self.phase_count - len(row)))
-                     for row in rows)
 
     def winner(self) -> tuple[ParallelLevel, float]:
         """Cheapest level by total communication time; ties prefer smaller
@@ -282,8 +272,3 @@ def build_time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
     if not levels:
         raise ValidationError("need at least one level")
     return TimeMatrix(levels, tuple(comm_time(lv, g) for lv in levels))
-
-
-def select_level(levels, g: TopologyGraph):
-    """Cheapest level and its total, as picked by `TimeMatrix.winner`."""
-    return build_time_matrix(levels, g).winner()

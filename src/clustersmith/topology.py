@@ -10,6 +10,8 @@ File format (UTF-8, in the line format of `clustersmith.lineformat`)::
     node <id> kind=<Kind> [socket=<int>] [key=value ...]
     link <idA> <idB> kind=<Kind> bw=<GB/s> [lat=<us>] [lanes=<n>] [b=<us>]
     flag gdr=<true|false>
+
+`bw` is the rate that is priced; `lanes` (Pcie only) is checked and kept.
 """
 
 from __future__ import annotations

@@ -25,6 +25,19 @@ def dual_socket() -> TopologyGraph:
     return load_preset("dual-socket-pcie-switch.topo")
 
 
+def expand(runs):
+    """The per-phase row of `(value, count)` runs."""
+    return [x for x, count in runs for _ in range(count)]
+
+
+def expanded_rows(matrix) -> tuple[tuple[float, ...], ...]:
+    """Per level, its expanded runs padded with 0.0 to `phase_count`: the
+    rows the streamed writers must print.  Only used as an oracle."""
+    rows = [expand(runs) for runs in matrix.runs]
+    return tuple(tuple(row + [0.0] * (matrix.phase_count - len(row)))
+                 for row in rows)
+
+
 def random_graph(rng: random.Random, max_nodes: int = 8,
                  connected: bool = True) -> TopologyGraph:
     """Random valid topology; spanning tree first when connectivity is

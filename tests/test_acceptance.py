@@ -16,13 +16,12 @@ from clustersmith.commcost import link_time, path_time, resolve_path
 from clustersmith.contention import (Flow, SwitchModel, optimize_stagger,
                                      simulate, with_offsets)
 from clustersmith.parallelism import (ParallelLevel, Strategy,
-                                      build_time_matrix, select_level,
-                                      traffic_for_level)
+                                      build_time_matrix, traffic_for_level)
 from clustersmith.pricing import coverage_table_cells
 from clustersmith.topology import (Link, LinkKind, NodeKind, PRESET_NAMES,
                                    export_topo, load_preset, load_topology)
 
-from conftest import random_graph, time_stepped_sim
+from conftest import expanded_rows, random_graph, time_stepped_sim
 
 GDR_FIXTURE = """
 node gpu kind=Gpu
@@ -128,16 +127,17 @@ def test_acceptance_5_pipeline_on_nvlink4():
     # ring4: 2(n-1) = 6 phases, chunk 2.5 GB; the ring gpu0-gpu1-gpu2-gpu3-gpu0
     # bottlenecks on its 20 GB/s hops -> 0.125 s per phase.
     assert matrix.phase_count == 6
+    rows = expanded_rows(matrix)
     for k in range(6):
-        assert matrix.entries[0][k] == pytest.approx(0.125, abs=1e-9)
+        assert rows[0][k] == pytest.approx(0.125, abs=1e-9)
     # ring2: 2 phases, chunk 5 GB over the dedicated 40 GB/s link -> 0.125 s.
     for k in range(2):
-        assert matrix.entries[1][k] == pytest.approx(0.125, abs=1e-9)
+        assert rows[1][k] == pytest.approx(0.125, abs=1e-9)
     for k in range(2, 6):
-        assert matrix.entries[1][k] == 0.0
+        assert rows[1][k] == 0.0
     assert matrix.row_totals[0] == pytest.approx(0.75, abs=1e-9)
     assert matrix.row_totals[1] == pytest.approx(0.25, abs=1e-9)
-    winner, total = select_level(levels, graph)
+    winner, total = matrix.winner()
     assert winner.name == "ring2"
     assert total == pytest.approx(0.25, abs=1e-9)
     assert time.perf_counter() - start < 1.0

@@ -202,6 +202,102 @@ def test_plan_evaluates_each_level_and_route_once(capsys, tmp_path, monkeypatch)
     assert ("gpu0", "nic0") in routes
 
 
+# One level of each strategy on the dual-socket preset: the ring shares
+# switch links, transfers to and from the NIC detour through host memory and
+# UPI, and the aggregation's 64-packet window is wider than its contended
+# path, so the path prices it.
+ALL_STRATEGIES_LEVELS = """
+level ring strategy=ring_allreduce participants=gpu0,gpu1,gpu2,gpu3 payload=1e9
+level ps strategy=parameter_server participants=gpu0,gpu1 server=nic0 payload=1e8
+level ina strategy=in_network_aggregation participants=gpu0,gpu1,gpu2 server=net0 payload=1e8 window=64
+level pipe strategy=pipeline_p2p participants=gpu0,gpu1,nic0 payload=0 microbatches=3 activation=1e8
+"""
+# `plan --json` output on ALL_STRATEGIES_LEVELS, pinned bit for bit.
+ALL_STRATEGIES_STDOUT = "selected pipe (pipeline_p2p, n=3): 0.0187524 s total\n"
+ALL_STRATEGIES_JSON = """\
+{
+  "levels": [
+    {
+      "name": "ring",
+      "strategy": "ring_allreduce",
+      "n": 4,
+      "payload_bytes": 1000000000.0
+    },
+    {
+      "name": "ps",
+      "strategy": "parameter_server",
+      "n": 2,
+      "payload_bytes": 100000000.0
+    },
+    {
+      "name": "ina",
+      "strategy": "in_network_aggregation",
+      "n": 3,
+      "payload_bytes": 100000000.0
+    },
+    {
+      "name": "pipe",
+      "strategy": "pipeline_p2p",
+      "n": 3,
+      "payload_bytes": 0.0
+    }
+  ],
+  "phase_count": 6,
+  "entries": [
+    [
+      0.015625,
+      0.015625,
+      0.015625,
+      0.015625,
+      0.015625,
+      0.015625
+    ],
+    [
+      0.012500800000000001,
+      0.012500800000000001,
+      0.0,
+      0.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0240016,
+      0.0240016,
+      0.0,
+      0.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0062508,
+      0.0062508,
+      0.0062508,
+      0.0,
+      0.0,
+      0.0
+    ]
+  ],
+  "row_totals": [
+    0.09375,
+    0.025001600000000002,
+    0.0480032,
+    0.0187524
+  ]
+}
+"""
+
+
+def test_plan_output_of_every_strategy_is_pinned(capsys, tmp_path):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(ALL_STRATEGIES_LEVELS)
+    topo = tmp_path / "dual.topo"
+    topo.write_text(PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
+    out_json = tmp_path / "m.json"
+    assert run(capsys, "plan", "--topo", str(topo), "--levels", str(levels),
+               "--json", str(out_json)) == (0, ALL_STRATEGIES_STDOUT, "")
+    assert out_json.read_text() == ALL_STRATEGIES_JSON
+
+
 def test_plan_subnormal_rtt_applies_no_window_bound(capsys, tmp_path):
     # rtt=1e-320 us is 0.0 s as a float, as if the window were unbounded
     topo = tmp_path / "dual.topo"

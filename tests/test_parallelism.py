@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustersmith.commcost import path_time, resolve_path
 from clustersmith.errors import ValidationError
 from clustersmith.parallelism import (
     ParallelLevel,
@@ -16,11 +17,12 @@ from clustersmith.parallelism import (
     build_time_matrix,
     check_level,
     comm_time,
-    select_level,
     total,
     traffic_for_level,
 )
 from clustersmith.topology import load_topology
+
+from conftest import expand, expanded_rows
 
 
 def ring(n, payload, name="ring", participants=None):
@@ -38,11 +40,6 @@ def brute_force_ring_bytes(n, payload):
             for flow in phase:
                 sent[flow.src] += flow.bytes
     return sent
-
-
-def expand(runs):
-    """The per-phase row of `(value, count)` runs."""
-    return [x for x, count in runs for _ in range(count)]
 
 
 def test_ring_phase_count_and_bytes():
@@ -190,7 +187,6 @@ def test_equal_split_on_shared_link():
 
 
 def test_comm_time_at_least_isolation_bound(nvlink4):
-    from clustersmith.commcost import path_time, resolve_path
     lv = ring(4, 10e9)
     runs = traffic_for_level(lv)
     priced = comm_time(lv, nvlink4)
@@ -201,10 +197,23 @@ def test_comm_time_at_least_isolation_bound(nvlink4):
         assert t >= bound - 1e-12
 
 
+def test_uncontended_transfer_is_priced_by_path_time():
+    # one transfer shares no link, so its time is exactly `path_time`'s
+    g = load_topology(
+        "node gpu0 kind=Gpu\nnode sw kind=PcieSwitch\nnode gpu1 kind=Gpu\n"
+        "link gpu0 sw kind=Pcie bw=32 lat=0.7 b=0.3\n"
+        "link sw gpu1 kind=Pcie bw=16 lat=0.4")
+    lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
+                       participants=("gpu0", "gpu1"), payload_bytes=0,
+                       microbatches=3, activation_bytes=3e8)
+    assert comm_time(lv, g) == (
+        (path_time(3e8, resolve_path(g, "gpu0", "gpu1")), 3),)
+
+
 def test_doubling_payload_doubles_entries(nvlink4):
     m1 = build_time_matrix([ring(4, 5e9), ring(2, 5e9, name="r2")], nvlink4)
     m2 = build_time_matrix([ring(4, 10e9), ring(2, 10e9, name="r2")], nvlink4)
-    for r1, r2 in zip(m1.entries, m2.entries):
+    for r1, r2 in zip(expanded_rows(m1), expanded_rows(m2)):
         for a, b in zip(r1, r2):
             assert b == pytest.approx(2 * a)
 
@@ -219,15 +228,16 @@ def test_matrix_single_cell(nvlink4):
                        microbatches=1, activation_bytes=1e9)
     m = build_time_matrix([lv], nvlink4)
     assert m.phase_count == 1
-    assert len(m.entries) == 1
+    assert len(expanded_rows(m)) == 1
 
 
 def test_matrix_padding_preserves_totals(nvlink4):
     levels = [ring(4, 10e9, name="r4"), ring(2, 10e9, name="r2")]
     m = build_time_matrix(levels, nvlink4)
     assert m.phase_count == 6
-    assert len(m.entries[1]) == 6
-    assert m.entries[1][2:] == (0.0,) * 4
+    rows = expanded_rows(m)
+    assert len(rows[1]) == 6
+    assert rows[1][2:] == (0.0,) * 4
     assert m.row_totals[1] == pytest.approx(
         math.fsum(expand(comm_time(levels[1], nvlink4))))
 
@@ -248,11 +258,13 @@ def test_matrix_pads_its_rows(dual_socket):
     runs = tuple(comm_time(lv, dual_socket) for lv in levels)
     rows = [expand(r) for r in runs]
     assert sorted({len(r) for r in rows}) == [2, 3, 6]
-    # the padding build_time_matrix did before TimeMatrix padded itself
+    # each row padded with 0.0 to the widest schedule
     width = max(len(r) for r in rows)
     padded = tuple(tuple(r + [0.0] * (width - len(r))) for r in rows)
     m = TimeMatrix(tuple(levels), runs)
-    assert m.entries == padded
+    written = list(csv.reader("".join(m.csv_chunks()).splitlines()))[1:]
+    assert [row[1:-1] for row in written] == [list(map(repr, r))
+                                              for r in padded]
     assert m.phase_count == width == 6
     # totals are correctly rounded sums of the expanded rows
     assert m.row_totals == tuple(math.fsum(r) for r in padded)
@@ -272,23 +284,23 @@ def test_matrix_serialization(nvlink4):
 
 
 def expanded_csv(m):
-    """Oracle: the CSV written whole, from the expanded `entries`."""
+    """Oracle: the CSV written whole, from the expanded rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["level"] + [f"t{k + 1}" for k in range(m.phase_count)]
                     + ["total"])
-    for level, row, t in zip(m.levels, m.entries, m.row_totals):
+    for level, row, t in zip(m.levels, expanded_rows(m), m.row_totals):
         writer.writerow([level.name] + [repr(x) for x in row] + [repr(t)])
     return buf.getvalue()
 
 
 def expanded_json(m):
-    """Oracle: `json.dumps` of the whole matrix, from the expanded `entries`."""
+    """Oracle: `json.dumps` of the whole matrix, from the expanded rows."""
     return json.dumps({
         "levels": [{"name": lv.name, "strategy": lv.strategy.value, "n": lv.n,
                     "payload_bytes": lv.payload_bytes} for lv in m.levels],
         "phase_count": m.phase_count,
-        "entries": [list(row) for row in m.entries],
+        "entries": [list(row) for row in expanded_rows(m)],
         "row_totals": list(m.row_totals),
     }, indent=2) + "\n"
 
@@ -352,12 +364,12 @@ def test_total_that_is_not_finite_names_the_level(runs):
 
 
 # ---------------------------------------------------------------------------
-# select_level
+# TimeMatrix.winner
 
 
 def test_select_single_candidate(nvlink4):
     lv = ring(4, 10e9)
-    best, total = select_level([lv], nvlink4)
+    best, total = build_time_matrix([lv], nvlink4).winner()
     assert best is lv
 
 
@@ -374,14 +386,14 @@ def test_select_ring_beats_slow_parameter_server():
     ps = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
                        participants=("gpu0", "gpu1", "gpu2", "gpu3"),
                        payload_bytes=1e9, server="cpu")
-    best, total = select_level([ps, r], g)
+    best, total = build_time_matrix([ps, r], g).winner()
     assert best is r
 
 
 def test_select_tie_prefers_declaration_order(nvlink4):
     a = ring(2, 10e9, name="first", participants=("gpu0", "gpu1"))
     b = ring(2, 10e9, name="second", participants=("gpu0", "gpu1"))
-    best, _ = select_level([a, b], nvlink4)
+    best, _ = build_time_matrix([a, b], nvlink4).winner()
     assert best is a
 
 
@@ -389,7 +401,7 @@ def test_select_invariant_under_loser_reordering(nvlink4):
     r4 = ring(4, 10e9, name="r4")
     r2 = ring(2, 10e9, name="r2")
     r3 = ring(3, 10e9, name="r3", participants=("gpu0", "gpu1", "gpu2"))
-    w1, t1 = select_level([r4, r3, r2], nvlink4)
-    w2, t2 = select_level([r3, r4, r2], nvlink4)
+    w1, t1 = build_time_matrix([r4, r3, r2], nvlink4).winner()
+    w2, t2 = build_time_matrix([r3, r4, r2], nvlink4).winner()
     assert w1.name == w2.name == "r2"
     assert t1 == t2
