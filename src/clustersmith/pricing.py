@@ -1,5 +1,5 @@
-"""Rent-vs-buy economics: funding coverage ratios, tiered-pricing
-markup chains, and the purchase break-even point.
+"""Rent-vs-buy economics: funding coverage ratios and the purchase
+break-even point.
 
 Funding amounts are stored in plain USD (source figures are quoted in
 units of 10,000 USD).  Coverage ratios round half-up to 2 decimals; the
@@ -52,19 +52,6 @@ def coverage_months(f: FundingLevel, q: RentalQuote) -> float:
         return float(ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
     except InvalidOperation:  # more digits than the context's precision
         raise ValidationError(f"coverage ratio {ratio:.3e} is too large") from None
-
-
-def tiered_price(base: float, markups) -> float:
-    """Final price after each intermediary applies its cost-plus markup."""
-    check_number("base price", base)
-    price = base
-    # one fixed order, so the rounded product does not depend on the order
-    # the markups are listed in
-    for m in sorted(markups):
-        if not (math.isfinite(m) and m > -1):
-            raise ValidationError(f"markup must be finite and > -1, got {m!r}")
-        price *= 1.0 + m
-    return price
 
 
 def break_even(p: PurchaseOption, q: RentalQuote) -> int:

@@ -1,9 +1,10 @@
-"""Hardware topology graph: parsing, validation, transforms, export.
+"""Hardware topology graph: parsing, validation, export.
 
 A topology is an undirected graph of hardware components (CPU sockets,
 chiplet dies, GPUs, PCIe switches, NICs, ...) joined by interconnect
 links carrying bandwidth/latency attributes.  Graphs are immutable after
-construction; transforms return new graphs.
+construction.  A changed machine (a partitioned NIC, a socket-direct link,
+GPU-direct RDMA, another PCIe switch) is a changed topology file.
 
 File format (UTF-8, in the line format of `clustersmith.lineformat`)::
 
@@ -16,7 +17,7 @@ File format (UTF-8, in the line format of `clustersmith.lineformat`)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -49,9 +50,6 @@ class LinkKind(str, Enum):
 
 
 VALID_LANES = (1, 2, 4, 8, 16)
-
-# Link kinds a NIC exposes toward the network fabric (the "port" side).
-_NETWORK_KINDS = (LinkKind.ETHERNET, LinkKind.INFINIBAND)
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,6 @@ class Link:
             raise ValidationError(
                 f"link {self.endpoint_a}-{self.endpoint_b}: {exc}") from None
 
-    def other(self, node_id: str) -> str:
-        return self.endpoint_b if node_id == self.endpoint_a else self.endpoint_a
-
 
 @dataclass(frozen=True)
 class TopologyGraph:
@@ -127,10 +122,6 @@ class TopologyGraph:
         if node_id not in self.index:
             raise ValidationError(f"unknown node {node_id!r}")
         return self.nodes[self.index[node_id]]
-
-    def incident(self, node_id: str) -> list[Link]:
-        self.node(node_id)
-        return [l for l in self.links if node_id in (l.endpoint_a, l.endpoint_b)]
 
     @cached_property
     def adjacency(self):
@@ -265,131 +256,6 @@ def export_dot(g: TopologyGraph) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Transforms
-
-
-@dataclass(frozen=True)
-class PartitionNic:
-    nic_id: str
-    parts: int  # 2 or 4
-
-
-@dataclass(frozen=True)
-class SocketDirect:
-    nic_id: str
-
-
-@dataclass(frozen=True)
-class EnableGdr:
-    pass
-
-
-@dataclass(frozen=True)
-class AttachPcieSwitch:
-    parent_id: str
-    upstream_lanes: int
-    downstream_gpu_ids: tuple[str, ...]
-    # No lane->GB/s table is baked in (PCIe generation varies), so the
-    # effective bandwidths must be given explicitly.
-    upstream_bandwidth: float
-    downstream_bandwidth: float
-
-
-def apply_transform(g: TopologyGraph, t) -> TopologyGraph:
-    if isinstance(t, PartitionNic):
-        return _partition_nic(g, t)
-    if isinstance(t, SocketDirect):
-        return _socket_direct(g, t)
-    if isinstance(t, EnableGdr):
-        if g.gdr:
-            raise ValidationError("GDR already enabled")
-        return replace(g, gdr=True)
-    if isinstance(t, AttachPcieSwitch):
-        return _attach_pcie_switch(g, t)
-    raise ValidationError(f"unknown transform {t!r}")
-
-
-def _require_kind(g, node_id, kind, what):
-    node = g.node(node_id)
-    if node.kind != kind:
-        raise ValidationError(f"{what} expects a {kind.value} node, "
-                              f"{node_id!r} is {node.kind.value}")
-    return node
-
-
-def _partition_nic(g, t):
-    """Split the NIC's network port into `parts` equal-bandwidth ports.
-
-    The port link is replaced by one child NIC per part, each wired to
-    the original peer at bandwidth/parts and to the parent NIC at the
-    same rate (the host side still flows through the parent).
-    """
-    if t.parts not in (2, 4):
-        raise ValidationError("parts must be 2 or 4")
-    _require_kind(g, t.nic_id, NodeKind.NIC, "PartitionNic")
-    port_links = [l for l in g.incident(t.nic_id) if l.kind in _NETWORK_KINDS]
-    if not port_links:
-        raise ValidationError(f"{t.nic_id!r} has no network port link")
-    if len(port_links) > 1:
-        raise ValidationError(f"{t.nic_id!r} has multiple port links")
-    port = port_links[0]
-    peer = port.other(t.nic_id)
-    child_bw = port.bandwidth / t.parts
-    new_nodes = list(g.nodes)
-    new_links = [l for l in g.links if l is not port]
-    for i in range(1, t.parts + 1):
-        child = f"{t.nic_id}_p{i}"
-        if child in g.index:
-            raise ValidationError(f"{t.nic_id!r} already partitioned")
-        new_nodes.append(Node(id=child, kind=NodeKind.NIC))
-        new_links.append(replace(port, endpoint_a=child, endpoint_b=peer,
-                                 bandwidth=child_bw))
-        new_links.append(Link(endpoint_a=t.nic_id, endpoint_b=child,
-                              kind=LinkKind.INTRA_DIE, bandwidth=child_bw))
-    return build_graph(new_nodes, new_links, gdr=g.gdr)
-
-
-def _socket_direct(g, t):
-    """Wire the NIC to the second CPU socket with an identical link."""
-    _require_kind(g, t.nic_id, NodeKind.NIC, "SocketDirect")
-    sockets = [n.id for n in g.nodes if n.kind == NodeKind.CPU_SOCKET]
-    if len(sockets) != 2:
-        raise ValidationError("SocketDirect needs exactly 2 CpuSocket nodes")
-    attached = [l for l in g.incident(t.nic_id) if l.other(t.nic_id) in sockets]
-    if len(attached) == 0:
-        raise ValidationError(f"{t.nic_id!r} is not attached to a CpuSocket")
-    if len(attached) > 1:
-        raise ValidationError("SocketDirect already applied")
-    existing = attached[0]
-    other = next(s for s in sockets if s != existing.other(t.nic_id))
-    new_link = replace(existing, endpoint_a=t.nic_id, endpoint_b=other)
-    return build_graph(g.nodes, tuple(g.links) + (new_link,), gdr=g.gdr)
-
-
-def _attach_pcie_switch(g, t):
-    if t.upstream_lanes not in VALID_LANES:
-        raise ValidationError(f"upstream_lanes must be one of {VALID_LANES}")
-    g.node(t.parent_id)
-    for gpu in t.downstream_gpu_ids:
-        _require_kind(g, gpu, NodeKind.GPU, "AttachPcieSwitch")
-    sw_id = f"{t.parent_id}_sw"
-    k = 1
-    while sw_id in g.index:
-        k += 1
-        sw_id = f"{t.parent_id}_sw{k}"
-    new_nodes = list(g.nodes) + [Node(id=sw_id, kind=NodeKind.PCIE_SWITCH)]
-    new_links = list(g.links)
-    new_links.append(Link(endpoint_a=t.parent_id, endpoint_b=sw_id,
-                          kind=LinkKind.PCIE, bandwidth=t.upstream_bandwidth,
-                          lanes=t.upstream_lanes))
-    for gpu in t.downstream_gpu_ids:
-        new_links.append(Link(endpoint_a=sw_id, endpoint_b=gpu,
-                              kind=LinkKind.PCIE,
-                              bandwidth=t.downstream_bandwidth))
-    return build_graph(new_nodes, new_links, gdr=g.gdr)
 
 
 # ---------------------------------------------------------------------------

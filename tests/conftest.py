@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -23,6 +24,40 @@ def nvlink4() -> TopologyGraph:
 @pytest.fixture
 def dual_socket() -> TopologyGraph:
     return load_preset("dual-socket-pcie-switch.topo")
+
+
+# The README's hardware rewrites as edits of the dual-socket preset's text:
+# (line, lines) replaces that line, and a None line appends the lines.
+REWRITES = {
+    "gdr": ("flag gdr=false", "flag gdr=true"),
+    "socket_direct": (None, "link nic0 cpu0 kind=Pcie bw=16.0 lanes=16"),
+    "nic_split": ("link nic0 net0 kind=Ethernet bw=12.5 lat=1.0", """\
+node nic0_p1 kind=Nic
+node nic0_p2 kind=Nic
+link nic0_p1 net0 kind=Ethernet bw=6.25 lat=1.0
+link nic0 nic0_p1 kind=IntraDie bw=6.25
+link nic0_p2 net0 kind=Ethernet bw=6.25 lat=1.0
+link nic0 nic0_p2 kind=IntraDie bw=6.25"""),
+    "second_switch": (None, """\
+node cpu1_sw kind=PcieSwitch
+link cpu1 cpu1_sw kind=Pcie bw=16.0 lanes=16
+link cpu1_sw gpu2 kind=Pcie bw=16.0
+link cpu1_sw gpu3 kind=Pcie bw=16.0"""),
+}
+
+
+def dual_socket_text(*rewrites: str) -> str:
+    """The dual-socket preset's text with the named REWRITES applied in order."""
+    text = resources.files("clustersmith.presets").joinpath(
+        "dual-socket-pcie-switch.topo").read_text()
+    for name in rewrites:
+        line, lines = REWRITES[name]
+        if line is None:
+            text += lines + "\n"
+        else:
+            assert text.count(line + "\n") == 1, line
+            text = text.replace(line + "\n", lines + "\n")
+    return text
 
 
 def expand(runs):

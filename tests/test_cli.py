@@ -19,6 +19,8 @@ from clustersmith import gnn, parallelism, topology
 from clustersmith.cli import load_levels, main
 from clustersmith.commcost import RoutingIndex
 
+from conftest import dual_socket_text
+
 PRESETS = resources.files("clustersmith.presets")
 
 
@@ -296,6 +298,36 @@ def test_plan_output_of_every_strategy_is_pinned(capsys, tmp_path):
     assert run(capsys, "plan", "--topo", str(topo), "--levels", str(levels),
                "--json", str(out_json)) == (0, ALL_STRATEGIES_STDOUT, "")
     assert out_json.read_text() == ALL_STRATEGIES_JSON
+
+
+REWRITE_LEVELS = """
+level ring4 strategy=ring_allreduce participants=gpu0,gpu1,gpu2,gpu3 payload=1e9
+level ps strategy=parameter_server participants=gpu0,gpu1,gpu2,gpu3 server=nic0 payload=1e9
+level ina strategy=in_network_aggregation participants=gpu0,gpu1,gpu2,gpu3 server=net0 payload=1e9
+"""
+
+
+# Only `ps` moves, and only in its latency digits, until GDR, socket-direct
+# and the second switch together open a wider route to the NIC.
+@pytest.mark.parametrize("rewrites,ps", [
+    ((), "0.5000016"),
+    (("gdr",), "0.5000012"),
+    (("socket_direct",), "0.5000004"),
+    (("gdr", "socket_direct"), "0.5"),
+    (("nic_split",), "0.5000016"),
+    (("second_switch",), "0.5000016"),
+    (("gdr", "socket_direct", "second_switch"), "0.375"),
+])
+def test_hardware_rewrites_are_topology_edits(capsys, tmp_path, rewrites, ps):
+    topo, levels = tmp_path / "edited.topo", tmp_path / "levels.txt"
+    topo.write_text(dual_socket_text(*rewrites))
+    levels.write_text(REWRITE_LEVELS)
+    out_json = tmp_path / "m.json"
+    code, _, _ = run(capsys, "plan", "--topo", str(topo), "--levels",
+                     str(levels), "--json", str(out_json))
+    assert code == 0
+    totals = json.loads(out_json.read_text())["row_totals"]
+    assert [repr(t) for t in totals] == ["0.09375", ps, "4.545454545454545"]
 
 
 def test_plan_subnormal_rtt_applies_no_window_bound(capsys, tmp_path):

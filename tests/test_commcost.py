@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from clustersmith.commcost import link_time, path_time, resolve_path
 from clustersmith.errors import ValidationError
 from clustersmith.topology import (
-    EnableGdr,
     Link,
     LinkKind,
     Node,
     NodeKind,
-    SocketDirect,
     TopologyGraph,
-    apply_transform,
     load_topology,
 )
 
@@ -167,9 +164,9 @@ link nic1 net kind=Ethernet bw=12
 
 def test_socket_direct_beats_upi_detour():
     # no HostMemory in this fixture, so enable GDR to route plainly
-    g = apply_transform(load_topology(DUAL_SOCKET_NIC), EnableGdr())
-    via_upi = path_time(8e9, resolve_path(g, "gpu0", "nic1"))
-    direct = apply_transform(g, SocketDirect(nic_id="nic1"))
+    text = DUAL_SOCKET_NIC + "flag gdr=true\n"
+    via_upi = path_time(8e9, resolve_path(load_topology(text), "gpu0", "nic1"))
+    direct = load_topology(text + "link nic1 cpu0 kind=Pcie bw=16\n")
     via_direct = path_time(8e9, resolve_path(direct, "gpu0", "nic1"))
     assert via_direct < via_upi
 

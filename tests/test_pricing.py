@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +11,6 @@ from clustersmith.pricing import (
     coverage_months,
     coverage_table_cells,
     load_tables,
-    tiered_price,
 )
 
 NSFC = FundingLevel("NSFC", 68200.0)
@@ -60,19 +57,6 @@ def test_funding_table_contents():
     fundings, quotes = load_tables()
     assert [f.amount for f in fundings] == [68200.0, 61400.0, 18400.0, 3800.0]
     assert len(quotes) == 9
-
-
-def test_tiered_price():
-    assert tiered_price(100.0, []) == 100.0
-    assert tiered_price(100.0, [0.10, 0.20]) == pytest.approx(132.0)
-
-
-@given(st.floats(0, 1e6),
-       st.lists(st.floats(-0.9, 5.0), min_size=0, max_size=5))
-def test_tiered_price_permutation_invariant(base, markups):
-    perms = list(itertools.permutations(markups))[:6]
-    results = {round(tiered_price(base, p), 6) for p in perms}
-    assert len(results) == 1
 
 
 def test_break_even_examples():
