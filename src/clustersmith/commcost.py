@@ -15,9 +15,11 @@ memory controller), so routes are walks, not necessarily simple paths.
 Each graph keeps a `RoutingIndex` (``TopologyGraph.routing``), built on
 first use: one maximum spanning forest, which gives every pair's
 bottleneck, plus each node's widest reach to host memory for the
-constrained pairs.  Each route is walked on the full graph on request,
-over links at least its bottleneck wide.  Graphs are immutable, so the
-index needs no invalidation.
+constrained pairs, and each node's neighbours in node-id order.  Each
+route is found on request by a hop search from both of its ends at once,
+over links at least its bottleneck wide, and walked from its start along
+the smallest-id neighbour that stays on a shortest walk.  Graphs are
+immutable, so the index needs no invalidation.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ def _needs_host_memory(gdr: bool, src_kind: NodeKind, dst_kind: NodeKind) -> boo
     )
 
 
+# Predecessor flags pf with pf | is_mem[node] == f, by [is_mem[node]][f].
+_PRED_FLAGS = (((0,), (1,)), ((), (0, 1)))
+
+
 class RoutingIndex:
     """Routing state of one graph, built once: a maximum spanning forest.
 
@@ -92,9 +98,18 @@ class RoutingIndex:
     narrower of the pair's bottleneck and that of s's lowest ancestor
     above a host memory.
 
-    Routes are still walked on the full graph, over states (node,
-    mem_seen) numbered ``2 * node + mem_seen``: the goal is (dst, 1), and
-    mem_seen starts at 1 when the host-memory constraint does not apply.
+    Routes are searched on the full graph, over states (node, mem_seen)
+    numbered ``2 * node + mem_seen``: the goal is (dst, 1), and mem_seen
+    starts at 1 when the host-memory constraint does not apply.  The
+    search is a breadth-first search from the start and from the goal at
+    once, each round growing the smaller frontier by one level, over links
+    at least the bottleneck wide (bidirectional search: I. Pohl,
+    "Bi-directional search", Machine Intelligence 6, 1971).  It stops
+    after the level in which the two meet, so it covers two small balls
+    of states around the ends instead of one ball reaching from the goal
+    to the start.  Which states lie on a shortest walk then follows from
+    the two distances, and the walk from the start takes at each hop the
+    smallest-id such neighbour: the fewest-hops, then node-id tie-breaks.
     """
 
     def __init__(self, g: TopologyGraph):
@@ -107,21 +122,25 @@ class RoutingIndex:
         # declaration order.
         best = {}
         for l in g.links:
-            i, j = sorted((g.index[l.endpoint_a], g.index[l.endpoint_b]))
-            cur = best.get((i, j))
+            i, j = g.index[l.endpoint_a], g.index[l.endpoint_b]
+            pair = (i, j) if i < j else (j, i)
+            cur = best.get(pair)
             if cur is None or (l.bandwidth, -(l.latency + l.extra_overhead_b)) > (
                 cur.bandwidth, -(cur.latency + cur.extra_overhead_b)
             ):
-                best[(i, j)] = l
+                best[pair] = l
         self.ids = [n.id for n in g.nodes]
         self.is_mem = [int(kind == NodeKind.HOST_MEMORY) for kind in self.kinds]
-        # node -> [(neighbour, bandwidth, link)] in link declaration order;
+        # node -> [(neighbour, bandwidth, link)] in neighbour-id order;
         # per node rather than per state to keep the index small, since
         # GNN training keeps every sample graph, and so its index, alive.
         self.adj = [[] for _ in g.nodes]
         for (i, j), link in best.items():
             self.adj[i].append((j, link.bandwidth, link))
             self.adj[j].append((i, link.bandwidth, link))
+        ids = self.ids
+        for nbrs in self.adj:
+            nbrs.sort(key=lambda e: ids[e[0]])
 
         # The merge tree: nodes 0..n-1 are the graph's, the rest merges.
         n = len(g.nodes)
@@ -173,42 +192,78 @@ class RoutingIndex:
                 + (" honoring host-memory staging" if constrained else ""))
         start, goal = 2 * s + (not constrained), 2 * t + 1
 
-        # Hop distances to the goal over links at least `bottleneck` wide,
-        # level by level until the start's level is complete.  Some walk is
-        # that wide, so the start is reached; the frontier test only bounds
-        # the loop.
+        # Hop distances over links at least `bottleneck` wide, from the start
+        # (ds) and to the goal (dg), growing the smaller frontier by one
+        # level a round until the two searches meet.  Some walk is that
+        # wide, so they do; the frontier test only bounds the loop.
         adj, is_mem = self.adj, self.is_mem
-        dist = [-1] * (2 * len(adj))
-        dist[goal] = 0
-        frontier = [goal]
-        while frontier and dist[start] < 0:
+        ds = [-1] * (2 * len(adj))
+        dg = [-1] * (2 * len(adj))
+        ds[start] = dg[goal] = 0
+        layers = [[start]]  # forward levels, layers[i] at ds == i
+        back = [goal]
+        depth_b = 0
+        met = False
+        while not met and layers[-1] and back:
             nxt_front = []
-            for state in frontier:
-                d = dist[state] + 1
-                node, f = state >> 1, state & 1
-                # predecessor flags pf with pf | is_mem[node] == f
-                flags = ((0, 1) if is_mem[node] else (1,)) if f else (
-                    () if is_mem[node] else (0,))
-                for prev, bw, _ in adj[node]:
-                    if bw >= bottleneck:
-                        for pf in flags:
-                            pstate = 2 * prev + pf
-                            if dist[pstate] < 0:
-                                dist[pstate] = d
-                                nxt_front.append(pstate)
-            frontier = nxt_front
+            if len(layers[-1]) <= len(back):
+                d = len(layers)
+                for state in layers[-1]:
+                    f = state & 1
+                    for nxt, bw, _ in adj[state >> 1]:
+                        if bw >= bottleneck:
+                            nstate = 2 * nxt + (f | is_mem[nxt])
+                            if ds[nstate] < 0:
+                                ds[nstate] = d
+                                nxt_front.append(nstate)
+                                met = met or dg[nstate] >= 0
+                layers.append(nxt_front)
+            else:
+                depth_b += 1
+                for state in back:
+                    node, f = state >> 1, state & 1
+                    flags = _PRED_FLAGS[is_mem[node]][f]
+                    for prev, bw, _ in adj[node]:
+                        if bw >= bottleneck:
+                            for pf in flags:
+                                pstate = 2 * prev + pf
+                                if dg[pstate] < 0:
+                                    dg[pstate] = depth_b
+                                    nxt_front.append(pstate)
+                                    met = met or ds[pstate] >= 0
+                back = nxt_front
+        # The searches first met within their last levels, both complete,
+        # so a shortest walk is exactly as long as the two are deep.
+        hops = len(layers) - 1 + depth_b
 
-        # Walk greedily toward the goal, smallest node id first.
+        # A state at depth i lies on a shortest walk exactly when dg == hops
+        # - i.  The backward search labelled only those in the last forward
+        # level; label the rest, deepest level first, each from a state on a
+        # shortest walk one level deeper, so the walk sees every candidate.
+        for i in range(len(layers) - 1, 1, -1):
+            want = hops - i
+            for state in layers[i]:
+                if dg[state] == want:
+                    node, f = state >> 1, state & 1
+                    flags = _PRED_FLAGS[is_mem[node]][f]
+                    for prev, bw, _ in adj[node]:
+                        if bw >= bottleneck:
+                            for pf in flags:
+                                pstate = 2 * prev + pf
+                                if ds[pstate] == i - 1:
+                                    dg[pstate] = want + 1
+
+        # Walk greedily toward the goal, smallest node id first (`adj` is
+        # in node-id order).
         ids = self.ids
         state = start
         node_seq = [src]
         link_seq = []
-        while state != goal:
-            f, step = state & 1, dist[state] - 1
-            nxt, link = min(
-                ((v, l) for v, bw, l in adj[state >> 1]
-                 if bw >= bottleneck and dist[2 * v + (f | is_mem[v])] == step),
-                key=lambda c: ids[c[0]])
+        for step in range(hops - 1, -1, -1):
+            f = state & 1
+            for nxt, bw, link in adj[state >> 1]:
+                if bw >= bottleneck and dg[2 * nxt + (f | is_mem[nxt])] == step:
+                    break
             state = 2 * nxt + (f | is_mem[nxt])
             node_seq.append(ids[nxt])
             link_seq.append(link)
@@ -237,5 +292,5 @@ def resolve_path(g: TopologyGraph, src: str, dst: str) -> ResolvedPath:
     g.node(src)
     g.node(dst)
     if src == dst:
-        raise ValueError("src and dst must differ")
+        raise ValidationError("src and dst must differ")
     return g.routing.route(src, dst)

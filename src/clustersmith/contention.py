@@ -128,8 +128,9 @@ def simulate(flows, sw: SwitchModel) -> SimResult:
                                       _rate(sw, len(marks))))
     times = list(completions.values())
     makespan = max(times, default=0.0)
-    mean = sum(times) / len(times) if times else 0.0
-    if mean == math.inf:
+    try:  # fsum: correctly rounded, so the same on every Python
+        mean = math.fsum(times) / len(times) if times else 0.0
+    except OverflowError:
         # finite times whose sum overflows: average the scaled terms, whose
         # rounding can still carry the sum past the largest time
         mean = min(sum(t / len(times) for t in times), makespan)

@@ -219,7 +219,10 @@ def batch_gradients(model: GnnModel, batch: GraphBatch,
     g_w, g_b = [], []
     for k in reversed(range(len(model.weights))):
         s, x = layers[k]
-        np.multiply(d_x, x > 0, out=d_x)        # now d loss / d (s W + b)
+        # relu's derivative as a float mask, made in x's buffer, which
+        # nothing reads again: no bool-to-float cast per pass
+        mask = np.greater(x, 0.0, out=x)
+        np.multiply(d_x, mask, out=d_x)         # now d loss / d (s W + b)
         g_w.append(s.T @ d_x)
         g_b.append(batch.ones @ d_x)
         if k:

@@ -1,10 +1,13 @@
 import heapq
+import math
 import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from clustersmith.commcost import ResolvedPath
+from clustersmith.errors import ValidationError
 from clustersmith.topology import (
     Link,
     LinkKind,
@@ -13,6 +16,7 @@ from clustersmith.topology import (
     TopologyGraph,
     build_graph,
     load_preset,
+    load_topology,
 )
 
 
@@ -117,6 +121,102 @@ def random_graph(rng: random.Random, max_nodes: int = 8,
             ):
                 links.append(make_link(i, j))
     return build_graph(nodes, links, gdr=rng.random() < 0.5)
+
+
+def cluster_graph(rng: random.Random, hosts: int) -> TopologyGraph:
+    """A multi-host cluster with GDR off and jittered link speeds.
+
+    Per host: two CPU sockets joined by UPI, host memory on each, two PCIe
+    switches per socket with two GPUs each, an NVLink ring with chords over
+    the host's eight GPUs (`hNNg0`..`hNNg7`), and a NIC (`hNNnic0`,
+    `hNNnic1`) on each socket's first switch.  NICs hang off four leaf
+    switches, each linked to two spines.  GPU<->NIC routes therefore
+    detour through host memory."""
+    def bw(base):
+        return round(base * rng.uniform(0.9, 1.1), 3)
+
+    lines, links = ["flag gdr=false"], []
+    for h in range(hosts):
+        for s in (0, 1):
+            cpu, mem, nic = f"h{h:02d}cpu{s}", f"h{h:02d}mem{s}", f"h{h:02d}nic{s}"
+            lines += [f"node {cpu} kind=CpuSocket socket={s}",
+                      f"node {mem} kind=HostMemory socket={s}",
+                      f"node {nic} kind=Nic"]
+            links += [f"link {cpu} {mem} kind=IntraDie bw={bw(100)} lat=0.1",
+                      f"link h{h:02d}sw{s}0 {nic} kind=Pcie bw={bw(32)}",
+                      f"link {nic} leaf{(2 * h + s) % 4} kind=Ethernet "
+                      f"bw={bw(25)} lat=1.0"]
+            for w in (0, 1):
+                sw = f"h{h:02d}sw{s}{w}"
+                lines.append(f"node {sw} kind=PcieSwitch")
+                links.append(f"link {cpu} {sw} kind=Pcie bw={bw(32)} lat=0.5")
+                for k in (0, 1):
+                    gpu = f"h{h:02d}g{4 * s + 2 * w + k}"
+                    lines.append(f"node {gpu} kind=Gpu")
+                    links.append(f"link {sw} {gpu} kind=Pcie bw={bw(32)} lat=0.5")
+        links.append(f"link h{h:02d}cpu0 h{h:02d}cpu1 kind=Upi bw={bw(20.8)}")
+        for k in range(8):
+            links.append(f"link h{h:02d}g{k} h{h:02d}g{(k + 1) % 8} "
+                         f"kind=NvLink bw={bw(50)} lat=0.3")
+        for k in range(4):
+            links.append(f"link h{h:02d}g{k} h{h:02d}g{k + 4} "
+                         f"kind=NvLink bw={bw(25)}")
+    for leaf in range(4):
+        lines.append(f"node leaf{leaf} kind=NetworkSwitch")
+    for spine in range(2):
+        lines.append(f"node spine{spine} kind=NetworkSwitch")
+        links += [f"link leaf{leaf} spine{spine} kind=Ethernet bw={bw(100)}"
+                  for leaf in range(4)]
+    return load_topology("\n".join(lines + links) + "\n")
+
+
+def one_way_route(g: TopologyGraph, src: str, dst: str):
+    """The route from src to dst as a `ResolvedPath`, by a one-way search.
+
+    Takes the bottleneck and the best link of each node pair from the
+    graph's routing index.  Then hop distances to the goal state (dst,
+    mem_seen) over links at least the bottleneck wide, level by level from
+    the goal until the start's level is complete, and a greedy walk from
+    the start to the smallest-id neighbour one hop nearer.  Raises the
+    `ValidationError` that `resolve_path` raises.  Only used as an oracle.
+    """
+    ix = g.routing
+    s, t = ix.index[src], ix.index[dst]
+    kinds = {ix.kinds[s], ix.kinds[t]}
+    constrained = (not ix.gdr and NodeKind.GPU in kinds
+                   and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
+    bottleneck = ix._bottleneck(s, t, constrained)
+    if not bottleneck:
+        raise ValidationError(
+            f"no route from {src!r} to {dst!r}"
+            + (" honoring host-memory staging" if constrained else ""))
+    start, goal = (s, not constrained), (t, True)
+    is_mem, ids = ix.is_mem, ix.ids
+    wide = [[(v, l) for v, bw, l in nbrs if bw >= bottleneck] for nbrs in ix.adj]
+    dist = {goal: 0}
+    frontier = [goal]
+    while start not in dist:
+        nxt_front = []
+        for node, f in frontier:
+            for prev, _ in wide[node]:
+                for pf in (False, True):
+                    pstate = (prev, pf)
+                    if (pf or bool(is_mem[node])) == f and pstate not in dist:
+                        dist[pstate] = dist[(node, f)] + 1
+                        nxt_front.append(pstate)
+        frontier = nxt_front
+    state, nodes, links = start, [src], []
+    while state != goal:
+        node, f = state
+        v, link = min(((v, l) for v, l in wide[node]
+                       if dist.get((v, f or bool(is_mem[v]))) == dist[state] - 1),
+                      key=lambda c: ids[c[0]])
+        state = (v, f or bool(is_mem[v]))
+        nodes.append(ids[v])
+        links.append(link)
+    return ResolvedPath(tuple(nodes), tuple(links), bottleneck,
+                        math.fsum(l.latency for l in links),
+                        math.fsum(l.extra_overhead_b for l in links))
 
 
 def enumerate_simple_paths(g: TopologyGraph, src: str, dst: str):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from collections import Counter
@@ -20,7 +21,9 @@ from clustersmith.topology import (
 
 from conftest import (
     best_path_by_enumeration,
+    cluster_graph,
     enumerate_simple_paths,
+    one_way_route,
     random_graph,
     widest_state_bottlenecks,
 )
@@ -133,6 +136,8 @@ def test_unknown_and_unreachable():
         resolve_path(g, "a", "zz")
     with pytest.raises(ValidationError, match="no route from 'a' to 'b'"):
         resolve_path(g, "a", "b")
+    with pytest.raises(ValidationError, match="src and dst must differ"):
+        resolve_path(g, "a", "a")
 
 
 def test_path_time_consistency_one_hop():
@@ -204,6 +209,49 @@ def test_resolve_matches_enumeration_on_random_graphs():
                 detours += len(set(exp_nodes)) < len(exp_nodes)
     assert checked > 3000 and unreachable > 30
     assert constrained > 30 and detours > 15
+
+
+# SHA-256 over the route of every ordered pair of the corpus below, as its
+# repr or its ValidationError message, one a line.  Recorded with the
+# one-way hop search that the two-way search replaced, so any change of a
+# route, a tie-break or a message shows.
+ROUTE_CORPUS_SHA256 = "7d59dd6c8b69e0476368ff0604fbb7cae929658e1b75807ab697bd0b27e2c030"
+
+
+def test_routes_match_recorded_digest():
+    rng = random.Random(41)
+    digest = hashlib.sha256()
+    pairs = unreachable = 0
+    for i in range(60):  # 1-40 nodes, one graph in four maybe disconnected
+        g = random_graph(rng, max_nodes=40, connected=i % 4 != 3)
+        ids = [n.id for n in g.nodes]
+        for src in ids:
+            for dst in ids:
+                if src == dst:
+                    continue
+                try:
+                    out = repr(resolve_path(g, src, dst))
+                except ValidationError as exc:
+                    out = str(exc)
+                    unreachable += 1
+                digest.update(out.encode() + b"\n")
+                pairs += 1
+    assert (pairs, unreachable) == (32096, 330)
+    assert digest.hexdigest() == ROUTE_CORPUS_SHA256
+
+
+def test_cluster_routes_match_one_way_search():
+    g = cluster_graph(random.Random(3), hosts=32)
+    gpus = [n.id for n in g.nodes if n.kind == NodeKind.GPU]
+    assert len(gpus) == 256
+    ring = list(zip(gpus, gpus[1:] + gpus[:1]))
+    server = [(gpu, "h00nic0") for gpu in gpus] + [("h00nic0", gpu) for gpu in gpus]
+    staged = 0
+    for src, dst in ring + server:
+        got = resolve_path(g, src, dst)
+        assert got == one_way_route(g, src, dst)
+        staged += any(g.node(v).kind == NodeKind.HOST_MEMORY for v in got.nodes)
+    assert staged >= len(server)  # GDR is off
 
 
 def random_routing_graph(rng: random.Random, n: int, mem_share: float,

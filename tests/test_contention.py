@@ -274,6 +274,19 @@ def test_matches_exact_fair_share_with_ties():
             assert res.completions[fid] == pytest.approx(float(t), rel=1e-12)
 
 
+def test_mean_is_the_correctly_rounded_sum():
+    # four flows of a seeded switch scenario: adding their completion times
+    # left to right rounds the mean one ulp lower than the exact sum does
+    flows = [Flow(id=f"gpu{i}", bytes=b)
+             for i, b in enumerate((1194044, 9049116, 75964567, 1180028))]
+    res = simulate(flows, SwitchModel(upstream_bandwidth=16.298, per_flow_cap=6.473))
+    left_to_right = 0.0
+    for t in res.completions.values():
+        left_to_right += t
+    assert left_to_right / 4 == 0.003482711020561788
+    assert res.mean_completion == 0.0034827110205617883
+
+
 def test_mean_of_finite_times_stays_finite():
     # each finishes at the largest float; a third of it rounds up, so even
     # the scaled terms sum past it
