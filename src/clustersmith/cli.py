@@ -205,7 +205,7 @@ def cmd_price(args) -> int:
                 worst = max(worst, abs(c.delta))
                 print(f"{c.table} {c.provider} vs {c.funding_label}: "
                       f"computed {c.computed:.2f} printed {c.printed:.2f}")
-            if worst > 0.01 + 1e-9:
+            if worst > 0.01:
                 _err(f"mismatch beyond 0.01 (max {worst:.4f})")
                 return EXIT_DOMAIN
             _ok(f"{len(cells)} cells within 0.01")

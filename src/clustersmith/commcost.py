@@ -17,9 +17,10 @@ first use: one maximum spanning forest, which gives every pair's
 bottleneck, plus each node's widest reach to host memory for the
 constrained pairs, and each node's neighbours in node-id order.  Each
 route is found on request by a hop search from both of its ends at once,
-over links at least its bottleneck wide, and walked from its start along
-the smallest-id neighbour that stays on a shortest walk.  Graphs are
-immutable, so the index needs no invalidation.
+over links at least its bottleneck wide: the start's search tree gives it
+up to where the two meet, then each hop takes the smallest-id neighbour
+one hop nearer the goal.  Graphs are immutable, so the index needs no
+invalidation.
 """
 
 from __future__ import annotations
@@ -107,9 +108,11 @@ class RoutingIndex:
     "Bi-directional search", Machine Intelligence 6, 1971).  It stops
     after the level in which the two meet, so it covers two small balls
     of states around the ends instead of one ball reaching from the goal
-    to the start.  Which states lie on a shortest walk then follows from
-    the two distances, and the walk from the start takes at each hop the
-    smallest-id such neighbour: the fewest-hops, then node-id tie-breaks.
+    to the start.  Visiting neighbours in node-id order, the forward search
+    reaches each state first along its smallest-id shortest walk, and lists
+    each level in the order of those walks.  The route is that walk to the
+    first meeting state, then the smallest-id neighbour one hop nearer the
+    goal: the fewest-hops, then node-id tie-breaks.
     """
 
     def __init__(self, g: TopologyGraph):
@@ -192,32 +195,30 @@ class RoutingIndex:
                 + (" honoring host-memory staging" if constrained else ""))
         start, goal = 2 * s + (not constrained), 2 * t + 1
 
-        # Hop distances over links at least `bottleneck` wide, from the start
-        # (ds) and to the goal (dg), growing the smaller frontier by one
-        # level a round until the two searches meet.  Some walk is that
-        # wide, so they do; the frontier test only bounds the loop.
+        # Search links at least `bottleneck` wide from the start (par: parent
+        # state and link) and to the goal (dg: hops), growing the smaller
+        # frontier by one level a round until the two meet.  Some walk is
+        # that wide, so they do; the frontier test only bounds the loop.
         adj, is_mem = self.adj, self.is_mem
-        ds = [-1] * (2 * len(adj))
+        par = [None] * (2 * len(adj))
         dg = [-1] * (2 * len(adj))
-        ds[start] = dg[goal] = 0
-        layers = [[start]]  # forward levels, layers[i] at ds == i
-        back = [goal]
+        par[start], dg[goal] = (start, None), 0
+        front, back = [start], [goal]
         depth_b = 0
         met = False
-        while not met and layers[-1] and back:
+        while not met and front and back:
             nxt_front = []
-            if len(layers[-1]) <= len(back):
-                d = len(layers)
-                for state in layers[-1]:
+            if len(front) <= len(back):
+                for state in front:
                     f = state & 1
-                    for nxt, bw, _ in adj[state >> 1]:
+                    for nxt, bw, link in adj[state >> 1]:
                         if bw >= bottleneck:
                             nstate = 2 * nxt + (f | is_mem[nxt])
-                            if ds[nstate] < 0:
-                                ds[nstate] = d
+                            if par[nstate] is None:
+                                par[nstate] = (state, link)
                                 nxt_front.append(nstate)
                                 met = met or dg[nstate] >= 0
-                layers.append(nxt_front)
+                front = nxt_front
             else:
                 depth_b += 1
                 for state in back:
@@ -230,36 +231,27 @@ class RoutingIndex:
                                 if dg[pstate] < 0:
                                     dg[pstate] = depth_b
                                     nxt_front.append(pstate)
-                                    met = met or ds[pstate] >= 0
+                                    met = met or par[pstate] is not None
                 back = nxt_front
-        # The searches first met within their last levels, both complete,
-        # so a shortest walk is exactly as long as the two are deep.
-        hops = len(layers) - 1 + depth_b
 
-        # A state at depth i lies on a shortest walk exactly when dg == hops
-        # - i.  The backward search labelled only those in the last forward
-        # level; label the rest, deepest level first, each from a state on a
-        # shortest walk one level deeper, so the walk sees every candidate.
-        for i in range(len(layers) - 1, 1, -1):
-            want = hops - i
-            for state in layers[i]:
-                if dg[state] == want:
-                    node, f = state >> 1, state & 1
-                    flags = _PRED_FLAGS[is_mem[node]][f]
-                    for prev, bw, _ in adj[node]:
-                        if bw >= bottleneck:
-                            for pf in flags:
-                                pstate = 2 * prev + pf
-                                if ds[pstate] == i - 1:
-                                    dg[pstate] = want + 1
-
-        # Walk greedily toward the goal, smallest node id first (`adj` is
-        # in node-id order).
+        # The searches met in their last, complete levels, so each meeting
+        # state is depth_b from the goal.  Walk back from the first in level
+        # order: its parent chain starts the smallest-id shortest walk.
         ids = self.ids
-        state = start
-        node_seq = [src]
-        link_seq = []
-        for step in range(hops - 1, -1, -1):
+        mid = state = next(m for m in front if dg[m] == depth_b)
+        node_seq, link_seq = [], []
+        while state != start:
+            node_seq.append(ids[state >> 1])
+            state, link = par[state]
+            link_seq.append(link)
+        node_seq.append(src)
+        node_seq.reverse()
+        link_seq.reverse()
+
+        # Walk greedily on toward the goal, smallest node id first (`adj` is
+        # in node-id order).
+        state = mid
+        for step in range(depth_b - 1, -1, -1):
             f = state & 1
             for nxt, bw, link in adj[state >> 1]:
                 if bw >= bottleneck and dg[2 * nxt + (f | is_mem[nxt])] == step:

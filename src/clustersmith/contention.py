@@ -92,9 +92,19 @@ def _finish(sw: SwitchModel, fid: str, t, nbytes, rate_bps) -> float:
         "of seconds")
 
 
+def _check_ids(flows) -> None:
+    """Reject two flows with one id: results are keyed by flow id."""
+    ids = set()
+    for f in flows:
+        if f.id in ids:
+            raise ValidationError(f"repeated flow id {f.id!r}")
+        ids.add(f.id)
+
+
 def simulate(flows, sw: SwitchModel) -> SimResult:
     """Run all flows to completion; deterministic for identical inputs."""
     pending = sorted(flows, key=lambda f: (f.start, f.id))
+    _check_ids(pending)
     marks = []  # heap of (served when the flow started + its bytes, id)
     completions = {}
     events = []
@@ -154,6 +164,7 @@ def optimize_stagger(flows, sw: SwitchModel) -> dict:
     staggered start precedes its predecessor's finish.
     """
     flows = list(flows)
+    _check_ids(flows)
     solo_bps = min(sw.per_flow_cap, sw.upstream_bandwidth) * GB
     offsets = {}
     t = 0.0

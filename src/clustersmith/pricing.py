@@ -84,7 +84,8 @@ class TableCell:
 
     @property
     def delta(self) -> float:
-        return self.computed - self.printed
+        """computed - printed, exact: both are 2-decimal values."""
+        return float(Decimal(repr(self.computed)) - Decimal(repr(self.printed)))
 
 
 _FUNDING_COLUMNS = ("nsfc", "univ211", "undergrad", "vocational")

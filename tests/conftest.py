@@ -78,10 +78,10 @@ def expanded_rows(matrix) -> tuple[tuple[float, ...], ...]:
 
 
 def random_graph(rng: random.Random, max_nodes: int = 8,
-                 connected: bool = True) -> TopologyGraph:
+                 connected: bool = True, min_nodes: int = 1) -> TopologyGraph:
     """Random valid topology; spanning tree first when connectivity is
     required, then extra chords."""
-    n = rng.randint(1, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     kinds = list(NodeKind)
     link_kinds = list(LinkKind)
     nodes = []
@@ -111,14 +111,15 @@ def random_graph(rng: random.Random, max_nodes: int = 8,
             duplex=rng.random() < 0.9,
         )
 
+    tree = set()  # (i, j), i < j, of the spanning tree's links
     if connected:
         for i in range(1, n):
-            links.append(make_link(rng.randint(0, i - 1), i))
+            j = rng.randint(0, i - 1)
+            tree.add((j, i))
+            links.append(make_link(j, i))
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.15 and not any(
-                {l.endpoint_a, l.endpoint_b} == {f"n{i}", f"n{j}"} for l in links
-            ):
+            if rng.random() < 0.15 and (i, j) not in tree:
                 links.append(make_link(i, j))
     return build_graph(nodes, links, gdr=rng.random() < 0.5)
 

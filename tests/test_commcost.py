@@ -130,6 +130,36 @@ def test_gdr_on_takes_direct_hop():
     assert p.nodes == ("gpu", "nic")
 
 
+def test_equal_walks_take_the_smallest_id_one():
+    # Two equal-width two-hop walks, z1's declared first; both middle
+    # states are where the two searches meet.
+    g = load_topology("node s kind=Gpu\nnode z1 kind=PcieSwitch\n"
+                      "node a1 kind=PcieSwitch\nnode t kind=Gpu\n"
+                      "link s z1 kind=Pcie bw=16\nlink z1 t kind=Pcie bw=16\n"
+                      "link s a1 kind=Pcie bw=16\nlink a1 t kind=Pcie bw=16\n")
+    assert resolve_path(g, "s", "t").nodes == ("s", "a1", "t")
+    # The searches meet at y and x, in that order: y ends the smaller
+    # walk from s (via a), though x is the smaller id.
+    g = load_topology("node s kind=Gpu\nnode a kind=PcieSwitch\n"
+                      "node b kind=PcieSwitch\nnode x kind=PcieSwitch\n"
+                      "node y kind=PcieSwitch\nnode t kind=Gpu\n"
+                      "link s a kind=Pcie bw=16\nlink a y kind=Pcie bw=16\n"
+                      "link y t kind=Pcie bw=16\nlink s b kind=Pcie bw=16\n"
+                      "link b x kind=Pcie bw=16\nlink x t kind=Pcie bw=16\n")
+    assert resolve_path(g, "s", "t").nodes == ("s", "a", "y", "t")
+
+
+def test_gdr_off_stages_in_smallest_id_memory():
+    # mem1 and mem0 are equally deep, mem1 declared first
+    g = load_topology("flag gdr=false\nnode gpu kind=Gpu\n"
+                      "node sw kind=PcieSwitch\nnode mem1 kind=HostMemory\n"
+                      "node mem0 kind=HostMemory\nnode nic kind=Nic\n"
+                      "link gpu sw kind=Pcie bw=16\nlink sw mem1 kind=Pcie bw=16\n"
+                      "link sw mem0 kind=Pcie bw=16\nlink sw nic kind=Pcie bw=16\n")
+    assert resolve_path(g, "gpu", "nic").nodes == ("gpu", "sw", "mem0", "sw", "nic")
+    assert resolve_path(g, "nic", "gpu").nodes == ("nic", "sw", "mem0", "sw", "gpu")
+
+
 def test_unknown_and_unreachable():
     g = load_topology("node a kind=Gpu\nnode b kind=Gpu")
     with pytest.raises(ValidationError, match="unknown node 'zz'"):
@@ -252,6 +282,30 @@ def test_cluster_routes_match_one_way_search():
         assert got == one_way_route(g, src, dst)
         staged += any(g.node(v).kind == NodeKind.HOST_MEMORY for v in got.nodes)
     assert staged >= len(server)  # GDR is off
+
+
+def test_large_random_routes_match_one_way_search():
+    # The recorded digest covers graphs of up to 40 nodes; these have 100-300,
+    # with GDR off and on, and half the pairs GPU<->NIC/DPU.
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(4):
+        g = random_graph(rng, max_nodes=300, min_nodes=100)
+        ids = [n.id for n in g.nodes]
+        gpus = [n.id for n in g.nodes if n.kind == NodeKind.GPU]
+        nics = [n.id for n in g.nodes
+                if n.kind in (NodeKind.NIC, NodeKind.DPU)]
+        pairs = [rng.sample(ids, 2) for _ in range(100)] + [
+            rng.sample([rng.choice(gpus), rng.choice(nics)], 2)
+            for _ in range(100)]
+        for gdr in (False, True):
+            graph = TopologyGraph(g.nodes, g.links, gdr)
+            for src, dst in pairs:
+                got = resolve_path(graph, src, dst)
+                assert got == one_way_route(graph, src, dst)
+                seen["revisits"] += len(set(got.nodes)) < len(got.nodes)
+                seen["long"] += got.hops >= 8
+    assert seen["revisits"] > 40 and seen["long"] > 600
 
 
 def random_routing_graph(rng: random.Random, n: int, mem_share: float,

@@ -99,6 +99,16 @@ def test_zero_offsets_reproduce_raw_simulation():
     assert res1 == res2
 
 
+def test_repeated_flow_id_is_rejected():
+    # results are keyed by flow id, so two flows `a` would merge: one
+    # completion, one offset, and both flows started at that offset
+    flows = [Flow(id="a", bytes=16e9), Flow(id="b", bytes=1e9),
+             Flow(id="a", bytes=16e9)]
+    for run in (simulate, optimize_stagger):
+        with pytest.raises(ValidationError, match="^repeated flow id 'a'$"):
+            run(flows, SW16)
+
+
 def test_greedy_optimal_for_identical_flows_tiny_exhaustive():
     """Discretized exhaustive search over offsets on <= 3 identical flows."""
     sw = SwitchModel(upstream_bandwidth=4.0, per_flow_cap=4.0)

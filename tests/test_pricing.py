@@ -49,8 +49,9 @@ def test_all_bundled_cells_within_tolerance():
     assert by_table == {"cpu": 24, "gpu": 12}
     for c in cells:
         # Tencent NSFC prints 39.87 (truncated) vs computed 39.88: delta is
-        # exactly 0.01, so allow float noise on top of the 0.01 tolerance
-        assert abs(c.delta) <= 0.01 + 1e-9, (c.provider, c.funding_label, c.delta)
+        # exactly 0.01, the difference of the two 2-decimal values
+        assert abs(c.delta) <= 0.01, (c.provider, c.funding_label, c.delta)
+    assert {c.delta for c in cells} == {-0.01, 0.0, 0.01}
 
 
 def test_funding_table_contents():
