@@ -81,12 +81,16 @@ def _is_stdout(fd: int) -> bool:
 # ---------------------------------------------------------------------------
 # Input-file parsers, in the line format of `clustersmith.lineformat`
 
-# level keys taking a number: (key, ParallelLevel field, type)
-_LEVEL_NUMBERS = (("window", "window_packets", int),
-                  ("pkt", "packet_bytes", int),
-                  ("rtt", "rtt_us", float),
-                  ("microbatches", "microbatches", int),
-                  ("activation", "activation_bytes", float))
+_STRATEGIES = {s.value: s for s in parallelism.Strategy}
+# level keys taking a number, as (key, type, default), and the
+# ParallelLevel field of each; an absent key keeps the field's default
+_LEVEL_NUMBERS = (("window", int, None), ("pkt", int, None),
+                  ("rtt", float, None), ("microbatches", int, None),
+                  ("activation", float, None), ("payload", float, None))
+_LEVEL_FIELDS = ("window_packets", "packet_bytes", "rtt_us", "microbatches",
+                 "activation_bytes", "payload_bytes")
+_FLOW_NUMBERS = (("bytes", float, None), ("release", float, 0.0),
+                 ("offset", float, 0.0))
 
 
 def load_levels(text: str,
@@ -102,23 +106,35 @@ def load_levels(text: str,
         kv = line.fields(2)
         if not {"strategy", "participants", "payload"} <= kv.keys():
             raise line.error("level needs strategy=, participants= and payload=")
-        strategy = line.enum(kv, "strategy", parallelism.Strategy, "strategy")
-        kwargs = {attr: line.number(kv, key, kind)
-                  for key, attr, kind in _LEVEL_NUMBERS if key in kv}
+        strategy = line.enum(kv, "strategy", _STRATEGIES, "strategy")
+        kwargs = {attr: value for attr, value in zip(
+            _LEVEL_FIELDS, line.numbers(kv, _LEVEL_NUMBERS)) if value is not None}
         if "server" in kv:
             kwargs["server"] = kv.pop("server")
         participants = tuple(p for p in kv.pop("participants").split(",") if p)
-        payload = line.number(kv, "payload")
         line.no_more(kv, "level")
         level = line.build(
             parallelism.ParallelLevel, name=tokens[1], strategy=strategy,
-            participants=participants, payload_bytes=payload, **kwargs)
+            participants=participants, **kwargs)
         try:
             parallelism.check_level(level, g)
         except ValidationError as exc:  # at the field's token, else the line's
-            raise line.error(str(exc), exc.at[1] if exc.at else 0) from exc
+            raise line.error(str(exc), exc.at[1] or 0) from exc
         levels.append(level)
     return levels
+
+
+def _priced(price, levels, text: str):
+    """`price()`; a ValidationError `at` one of `levels`, read from `text`
+    by `load_levels`, becomes a ParseError at that level's line: at the
+    field's token, else the line's first."""
+    try:
+        return price()
+    except ValidationError as exc:
+        level, field = exc.at
+        i = next(i for i, lv in enumerate(levels) if lv is level)
+        line = list(lineformat.records(text))[i]  # each record is a level
+        raise line.error(str(exc), field or 0) from exc
 
 
 def load_flows(text: str) -> list[contention.Flow]:
@@ -136,10 +152,8 @@ def load_flows(text: str) -> list[contention.Flow]:
         kv = line.fields(2)
         if "bytes" not in kv:
             raise line.error("flow needs bytes=")
-        flows.append(line.build(
-            contention.Flow, id=tokens[1], bytes=line.number(kv, "bytes"),
-            release=line.number(kv, "release", default=0.0),
-            offset=line.number(kv, "offset", default=0.0)))
+        flows.append(line.build(contention.Flow, tokens[1],
+                                *line.numbers(kv, _FLOW_NUMBERS)))
         line.no_more(kv, "flow")
     return flows
 
@@ -162,10 +176,12 @@ def cmd_topo(args) -> int:
 
 def cmd_plan(args) -> int:
     g = topology.load_topology(_read(args.topo))
-    levels = load_levels(_read(args.levels), g)
+    text = _read(args.levels)
+    levels = load_levels(text, g)
     if not levels:
         raise ParseError("no levels in levels file", 1, 1)
-    matrix = parallelism.build_time_matrix(levels, g)
+    matrix = _priced(lambda: parallelism.build_time_matrix(levels, g),
+                     levels, text)
     winner, total = matrix.winner()
     print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
           f"{total!r} s total")
@@ -253,9 +269,12 @@ def cmd_gnn(args) -> int:
         raise second.error(message) if second else ParseError(message, 1, 1)
     level = levels[0]
     predicted = gnn.predict_seconds(model, g, level)
+    if args.compare:
+        analytic = _priced(lambda: parallelism.total(
+            parallelism.comm_time(level, g), level.name, at=(level, None)),
+            levels, text)
     print(f"predicted {predicted!r} s")
     if args.compare:
-        analytic = parallelism.total(parallelism.comm_time(level, g), level.name)
         rel = abs(predicted - analytic) / analytic if analytic else float("inf")
         print(f"analytic  {analytic!r} s (relative error {rel:.4f})")
     return EXIT_OK

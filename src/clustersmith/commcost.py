@@ -26,7 +26,7 @@ invalidation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 from .topology import Link, NodeKind, TopologyGraph
@@ -37,13 +37,11 @@ US = 1e-6  # seconds
 ALLOWED_FRACTIONS = (1.0, 0.5, 0.25)
 
 
-@dataclass(frozen=True)
-class ResolvedPath:
-    nodes: tuple[str, ...]
-    links: tuple[Link, ...]
-    bottleneck_bandwidth: float  # GB/s
-    total_latency: float         # microseconds
-    total_b: float               # microseconds
+class ResolvedPath(namedtuple("ResolvedPath", "nodes links bottleneck_bandwidth "
+                               "total_latency total_b")):
+    """A routed walk: bottleneck in GB/s, latency and b in microseconds."""
+
+    __slots__ = ()
 
     @property
     def hops(self) -> int:
@@ -267,13 +265,9 @@ class RoutingIndex:
             raise ValidationError(
                 f"route from {src!r} to {dst!r}: latency or b is not a finite "
                 "number of microseconds") from None
-        return ResolvedPath(
-            nodes=tuple(node_seq),
-            links=tuple(link_seq),
-            bottleneck_bandwidth=bottleneck,  # the walk's narrowest link
-            total_latency=total_latency,
-            total_b=total_b,
-        )
+        # the bottleneck is the walk's narrowest link
+        return ResolvedPath(tuple(node_seq), tuple(link_seq), bottleneck,
+                            total_latency, total_b)
 
 
 def resolve_path(g: TopologyGraph, src: str, dst: str) -> ResolvedPath:

@@ -21,27 +21,30 @@ import csv
 import heapq
 import io
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 from .commcost import GB
 from .errors import ValidationError, check_number
 
 
-@dataclass(frozen=True)
-class Flow:
-    id: str
-    bytes: float
-    release: float = 0.0  # seconds
-    offset: float = 0.0   # seconds of added stagger
+# Flows and events are light records, namedtuples (a flow checked in
+# `__new__`): a run builds one per flow or event.  `_make` and `_replace`
+# skip the check, so nothing calls them.
+class Flow(namedtuple("Flow", "id bytes release offset")):
+    """`release` and `offset`, the added stagger, in seconds."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, id, bytes, release=0.0, offset=0.0):
         try:
-            check_number("bytes", self.bytes, positive=True)
-            check_number("release", self.release)
-            check_number("offset", self.offset)
-            check_number("start (release + offset)", self.start)
+            check_number("bytes", bytes, positive=True)
+            check_number("release", release)
+            check_number("offset", offset)
+            check_number("start (release + offset)", release + offset)
         except ValidationError as exc:
-            raise ValidationError(f"flow {self.id!r}: {exc}") from None
+            raise ValidationError(f"flow {id!r}: {exc}") from None
+        return tuple.__new__(cls, (id, bytes, release, offset))
 
     @property
     def start(self) -> float:
@@ -58,13 +61,10 @@ class SwitchModel:
         check_number("per_flow_cap", self.per_flow_cap, positive=True)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    time_s: float
-    event: str  # "start" | "finish"
-    flow_id: str
-    active_flows: int           # active count after the event
-    per_flow_rate_gbps: float   # rate each active flow gets after the event
+# event is "start" or "finish"; active_flows and per_flow_rate_gbps are
+# the active count and the rate each active flow gets after it
+EventRecord = namedtuple("EventRecord", "time_s event flow_id active_flows "
+                         "per_flow_rate_gbps")
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ def optimize_stagger(flows, sw: SwitchModel) -> dict:
 
 def with_offsets(flows, offsets: dict):
     """Copies of flows with the given stagger offsets applied."""
-    return [replace(f, offset=offsets.get(f.id, f.offset)) for f in flows]
+    return [Flow(f.id, f.bytes, f.release, offsets.get(f.id, f.offset))
+            for f in flows]
 
 
 def events_to_csv(events) -> str:

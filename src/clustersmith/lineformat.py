@@ -69,44 +69,46 @@ class Line:
             col = start + len(token)
         return ParseError(message, self.no, start + 1)
 
-    def build(self, cls, /, **fields):
-        """`cls(**fields)`; a ValidationError becomes a ParseError at token 0."""
+    def build(self, cls, /, *args, **fields):
+        """`cls(...)`; a ValidationError becomes a ParseError at token 0."""
         try:
-            return cls(**fields)
+            return cls(*args, **fields)
         except ValidationError as exc:
             raise self.error(str(exc)) from exc
 
     def fields(self, start: int) -> dict:
         """The `key=value` tokens from index `start` on, as {key: value}."""
         out = {}
-        for i, token in enumerate(self.tokens[start:], start):
+        for token in self.tokens[start:]:
             key, eq, value = token.partition("=")
             if not (key and value) or key in out:
+                # this is token start + len(out): each before it took a key
                 raise self.error(f"repeated key {key!r}" if key and value else
                                  f"malformed key=value {token!r}" if eq else
-                                 f"expected key=value, got {token!r}", i)
+                                 f"expected key=value, got {token!r}",
+                                 start + len(out))
             out[key] = value
         return out
 
-    def number(self, fields: dict, key: str, kind=float, default=None):
-        """Pop `key` from `fields` as a `kind` (float or int), or `default`
-        if it is absent."""
-        if key not in fields:
-            return default
-        value = fields.pop(key)
-        try:
-            return kind(value)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise self.error(f"{key}: not {what}: {value!r}", key) from None
+    def numbers(self, fields: dict, spec) -> list:
+        """Pop each `(key, kind, default)` of `spec` from `fields`, in one
+        pass: its value as a `kind` (float or int), or `default` if absent."""
+        out = []
+        for key, kind, default in spec:
+            value = fields.pop(key, None)
+            try:
+                out.append(default if value is None else kind(value))
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise self.error(f"{key}: not {what}: {value!r}", key) from None
+        return out
 
-    def enum(self, fields: dict, key: str, kind, what: str):
-        """Pop `key` from `fields` as a member of the Enum `kind`."""
+    def enum(self, fields: dict, key: str, members: dict, what: str):
+        """Pop `key` from `fields` as the Enum member `members` maps it to."""
         value = fields.pop(key)
-        try:
-            return kind(value)
-        except ValueError:
-            raise self.error(f"unknown {what} {value!r}", key) from None
+        if value not in members:
+            raise self.error(f"unknown {what} {value!r}", key)
+        return members[value]
 
     def no_more(self, fields: dict, what: str) -> None:
         """A ParseError at the first key left in `fields`, if any."""

@@ -18,7 +18,7 @@ import csv
 import io
 import itertools
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -80,11 +80,7 @@ class ParallelLevel:
         return len(self.participants)
 
 
-@dataclass(frozen=True)
-class Transfer:
-    src: str
-    dst: str
-    bytes: float
+Transfer = namedtuple("Transfer", "src dst bytes")
 
 
 def traffic_for_level(
@@ -114,11 +110,11 @@ def traffic_for_level(
 
 def check_level(level: ParallelLevel, g: TopologyGraph) -> None:
     """Reject what `comm_time` would of `level` on `g` before routing it: a
-    ValidationError naming the level, `at` the (level, field) at fault, or
-    None when no one field is."""
+    ValidationError naming the level, `at` the (level, field) at fault, the
+    field None when no one field is."""
     def fail(message, field=None):
         raise ValidationError(f"level {level.name!r}: {message}",
-                              at=field and (level, field))
+                              at=(level, field))
 
     if not level.participants:
         fail("needs at least one participant", "participants")
@@ -150,14 +146,19 @@ def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
 
 def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int], ...]:
     """`(seconds, count)` of each run of one level on a topology; `total`
-    of them is the level's time."""
+    of them is the level's time.  A routing error names the level, `at`
+    (level, "participants")."""
     check_level(level, g)
     window_cap = (_window_cap_bytes_per_s(level)  # inf: no window bound
                   if level.strategy == Strategy.IN_NETWORK_AGGREGATION
                   else float("inf"))
     priced = []
     for phase, count in traffic_for_level(level):
-        routed = [(x, resolve_path(g, x.src, x.dst)) for x in phase]
+        try:
+            routed = [(x, resolve_path(g, x.src, x.dst)) for x in phase]
+        except ValidationError as exc:
+            raise ValidationError(f"level {level.name!r}: {exc}",
+                                  at=(level, "participants")) from None
         # concurrency per link; duplex links contend per direction
         share = {}
         for _, path in routed:
@@ -176,18 +177,18 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int]
     return tuple(priced)
 
 
-def total(runs, name: str) -> float:
+def total(runs, name: str, at=None) -> float:
     """Correctly rounded sum of seconds * count over `(seconds, count)`
     runs: one exact sum, rounded once, so it depends on neither the order
     nor the layout of the runs.  A time that is not finite is an error
-    naming level `name`."""
+    naming level `name`, `at` the given (level, field)."""
     from fractions import Fraction  # not imported at start-up
 
     try:
         return float(sum(Fraction(t) * count for t, count in runs))
     except (ValueError, OverflowError):  # nan, inf, or a sum past float range
         raise ValidationError(f"level {name!r}: time is not a finite number "
-                              "of seconds") from None
+                              "of seconds", at=at) from None
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,8 @@ class TimeMatrix:
         object.__setattr__(self, "phase_count", max(
             (sum(count for _, count in runs) for runs in self.runs), default=0))
         object.__setattr__(self, "row_totals", tuple(
-            total(runs, lv.name) for lv, runs in zip(self.levels, self.runs)))
+            total(runs, lv.name, at=(lv, None))
+            for lv, runs in zip(self.levels, self.runs)))
 
     def winner(self) -> tuple[ParallelLevel, float]:
         """Cheapest level by total communication time; ties prefer smaller

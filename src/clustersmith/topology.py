@@ -17,6 +17,8 @@ File format (UTF-8, in the line format of `clustersmith.lineformat`)::
 
 from __future__ import annotations
 
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -50,47 +52,50 @@ class LinkKind(str, Enum):
 
 
 VALID_LANES = (1, 2, 4, 8, 16)
+_MAX = sys.float_info.max  # the largest finite float
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: NodeKind
-    socket_index: int | None = None
-    labels: tuple[tuple[str, str], ...] = ()
+# Records built by the hundred are light: namedtuples that check their
+# fields in `__new__`.  `_make` and `_replace` skip the check; none is called.
+class Node(namedtuple("Node", "id kind socket_index labels")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.kind, NodeKind):
-            raise ValidationError(f"unknown node kind {self.kind!r}")
+    def __new__(cls, id, kind, socket_index=None, labels=()):
+        if not isinstance(kind, NodeKind):
+            raise ValidationError(f"unknown node kind {kind!r}")
+        return tuple.__new__(cls, (id, kind, socket_index, labels))
 
 
-@dataclass(frozen=True)
-class Link:
-    endpoint_a: str
-    endpoint_b: str
-    kind: LinkKind
-    bandwidth: float        # GB/s
-    latency: float = 0.0    # microseconds
-    lanes: int | None = None
-    extra_overhead_b: float = 0.0  # microseconds, the per-link fixed overhead
-    duplex: bool = True
+class Link(namedtuple("Link", "endpoint_a endpoint_b kind bandwidth latency "
+                      "lanes extra_overhead_b duplex")):
+    """Bandwidth in GB/s; latency and fixed overhead b in microseconds."""
 
-    def __post_init__(self):
-        try:
-            if self.endpoint_a == self.endpoint_b:
-                raise ValidationError("self-link rejected")
-            if not isinstance(self.kind, LinkKind):
-                raise ValidationError(f"unknown link kind {self.kind!r}")
-            check_number("bw", self.bandwidth, positive=True)
-            check_number("lat", self.latency)
-            check_number("b", self.extra_overhead_b)
-            if self.lanes is not None and self.kind != LinkKind.PCIE:
-                raise ValidationError("lanes only valid on Pcie links")
-            if self.lanes not in (None, *VALID_LANES):
-                raise ValidationError(f"lanes must be one of {VALID_LANES}")
-        except ValidationError as exc:
-            raise ValidationError(
-                f"link {self.endpoint_a}-{self.endpoint_b}: {exc}") from None
+    __slots__ = ()
+
+    def __new__(cls, endpoint_a, endpoint_b, kind, bandwidth, latency=0.0,
+                lanes=None, extra_overhead_b=0.0, duplex=True):
+        a, b, lat, over = endpoint_a, endpoint_b, latency, extra_overhead_b
+        # one test that implies every rule, then, only if it fails, each
+        # rule in turn for the message
+        if not (a != b and isinstance(kind, LinkKind) and 0 < bandwidth <= _MAX
+                and 0 <= lat <= _MAX and 0 <= over <= _MAX
+                and (lanes is None
+                     or kind is LinkKind.PCIE and lanes in VALID_LANES)):
+            try:
+                if a == b:
+                    raise ValidationError("self-link rejected")
+                if not isinstance(kind, LinkKind):
+                    raise ValidationError(f"unknown link kind {kind!r}")
+                check_number("bw", bandwidth, positive=True)
+                check_number("lat", lat)
+                check_number("b", over)
+                if lanes is not None and kind != LinkKind.PCIE:
+                    raise ValidationError("lanes only valid on Pcie links")
+                if lanes not in (None, *VALID_LANES):
+                    raise ValidationError(f"lanes must be one of {VALID_LANES}")
+            except ValidationError as exc:
+                raise ValidationError(f"link {a}-{b}: {exc}") from None
+        return tuple.__new__(cls, (a, b, kind, bandwidth, lat, lanes, over, duplex))
 
 
 @dataclass(frozen=True)
@@ -154,54 +159,56 @@ def build_graph(nodes, links, gdr=False) -> TopologyGraph:
 # Parsing
 
 
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_LINK_KINDS = {k.value: k for k in LinkKind}
+_LINK_NUMBERS = (("bw", float, None), ("lat", float, 0.0), ("lanes", int, None),
+                 ("b", float, 0.0))
+
+
 def load_topology(text: str) -> TopologyGraph:
     """Parse topology-file content, in the line format of
     `clustersmith.lineformat`, into a validated graph."""
-    nodes, links, lines = [], [], {}  # lines: id(declaration) -> its Line
+    nodes, links = [], []
     gdr = False
     for line in lineformat.records(text):
         head, tokens = line.tokens[0], line.tokens
-        if head == "node":
-            if len(tokens) < 3:
-                raise line.error("node needs <id> kind=<Kind>")
-            kv = line.fields(2)
-            if "kind" not in kv:
-                raise line.error("node missing kind=")
-            kind = line.enum(kv, "kind", NodeKind, "node kind")
-            socket = line.number(kv, "socket", int)
-            decl = line.build(Node, id=tokens[1], kind=kind, socket_index=socket,
-                              labels=tuple(kv.items()))
-            nodes.append(decl)
-        elif head == "link":
-            if len(tokens) < 4:
-                raise line.error("link needs <idA> <idB> kind= bw=")
-            kv = line.fields(3)
-            if "kind" not in kv or "bw" not in kv:
-                raise line.error("link missing kind= or bw=")
-            decl = line.build(
-                Link, endpoint_a=tokens[1], endpoint_b=tokens[2],
-                kind=line.enum(kv, "kind", LinkKind, "link kind"),
-                bandwidth=line.number(kv, "bw"),
-                latency=line.number(kv, "lat", default=0.0),
-                lanes=line.number(kv, "lanes", int),
-                extra_overhead_b=line.number(kv, "b", default=0.0),
-                duplex=_bool(line, kv, "duplex", True))
-            line.no_more(kv, "link")
-            links.append(decl)
-        elif head == "flag":
-            kv = line.fields(1)
-            gdr = _bool(line, kv, "gdr", gdr)
-            line.no_more(kv, "flag")
-            continue
-        else:
-            raise line.error(f"unknown directive {head!r}")
-        lines[id(decl)] = line
+        try:
+            if head == "link":  # the most common, so tested first
+                if len(tokens) < 4:
+                    raise line.error("link needs <idA> <idB> kind= bw=")
+                kv = line.fields(3)
+                if "kind" not in kv or "bw" not in kv:
+                    raise line.error("link missing kind= or bw=")
+                kind = line.enum(kv, "kind", _LINK_KINDS, "link kind")
+                bw, lat, lanes, b = line.numbers(kv, _LINK_NUMBERS)
+                links.append(Link(tokens[1], tokens[2], kind, bw, lat, lanes, b,
+                                  _bool(line, kv, "duplex", True)))
+                line.no_more(kv, "link")
+            elif head == "node":
+                if len(tokens) < 3:
+                    raise line.error("node needs <id> kind=<Kind>")
+                kv = line.fields(2)
+                if "kind" not in kv:
+                    raise line.error("node missing kind=")
+                kind = line.enum(kv, "kind", _NODE_KINDS, "node kind")
+                socket, = line.numbers(kv, (("socket", int, None),))
+                nodes.append(Node(tokens[1], kind, socket, tuple(kv.items())))
+            elif head == "flag":
+                kv = line.fields(1)
+                gdr = _bool(line, kv, "gdr", gdr)
+                line.no_more(kv, "flag")
+            else:
+                raise line.error(f"unknown directive {head!r}")
+        except ValidationError as exc:  # a declaration's own rule
+            raise line.error(str(exc)) from exc
     try:
         return build_graph(nodes, links, gdr=gdr)
-    except ValidationError as exc:
-        decl, field = exc.at  # at a node's id or a link's endpoint
-        token = 2 if field == "endpoint_b" else 1
-        raise lines[id(decl)].error(str(exc), token) from exc
+    except ValidationError as exc:  # at a node's id or a link's endpoint
+        decl, field = exc.at
+        head, decls = ("node", nodes) if field == "id" else ("link", links)
+        i = next(i for i, d in enumerate(decls) if d is decl)
+        line = [r for r in lineformat.records(text) if r.tokens[0] == head][i]
+        raise line.error(str(exc), 2 if field == "endpoint_b" else 1) from exc
 
 
 def _bool(line, kv, key, default):

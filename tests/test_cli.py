@@ -350,13 +350,14 @@ def test_plan_subnormal_rtt_applies_no_window_bound(capsys, tmp_path):
     # finite links whose phase time overflows
     ("node gpu0 kind=Gpu\nnode gpu1 kind=Gpu\n"
      "link gpu0 gpu1 kind=NvLink bw=1e-300\n", "1e308",
-     "error: level 'r': time is not a finite number of seconds\n"),
+     "error: line 1, col 1: level 'r': time is not a finite number of "
+     "seconds\n"),
     # finite latencies whose sum along the route overflows
     ("node gpu0 kind=Gpu\nnode sw kind=PcieSwitch\nnode gpu1 kind=Gpu\n"
      "link gpu0 sw kind=Pcie bw=16 lat=1e308\n"
      "link sw gpu1 kind=Pcie bw=16 lat=1e308\n", "1e9",
-     "error: route from 'gpu0' to 'gpu1': latency or b is not a finite "
-     "number of microseconds\n"),
+     "error: line 1, col 33: level 'r': route from 'gpu0' to 'gpu1': latency "
+     "or b is not a finite number of microseconds\n"),
 ])
 def test_plan_time_that_is_not_finite_exits_2(capsys, tmp_path, topo, payload,
                                               message):

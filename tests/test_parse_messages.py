@@ -2,15 +2,19 @@
 a 258-node cluster topology is broken in a fixed, seeded set of ways, and a
 SHA-256 over the resulting messages is compared with the one recorded
 before the parser was made cheap.  Any change of a message, a line or a
-column shows."""
+column shows.  `Link`, built directly, is checked against its rules
+applied one at a time."""
 
 import hashlib
+import itertools
+import math
 import random
+import sys
 from importlib import resources
 from pathlib import Path
 
-from clustersmith.errors import ClusterError
-from clustersmith.topology import load_topology
+from clustersmith.errors import ClusterError, ValidationError, check_number
+from clustersmith.topology import VALID_LANES, Link, LinkKind, load_topology
 
 NUMERIC = ("bw", "lat", "b", "lanes", "socket")
 
@@ -157,3 +161,52 @@ def test_topology_messages_match_recorded_digest():
                 cases += 1
     assert (cases, accepted) == (884, 58)
     assert digest.hexdigest() == MESSAGES_SHA256
+
+
+def rule_by_rule(a, b, kind, bandwidth, latency, lanes, over):
+    """The message of the first link rule broken, checked one rule at a
+    time as the dataclass `Link` checked them, or None."""
+    try:
+        if a == b:
+            raise ValidationError("self-link rejected")
+        if not isinstance(kind, LinkKind):
+            raise ValidationError(f"unknown link kind {kind!r}")
+        check_number("bw", bandwidth, positive=True)
+        check_number("lat", latency)
+        check_number("b", over)
+        if lanes is not None and kind != LinkKind.PCIE:
+            raise ValidationError("lanes only valid on Pcie links")
+        if lanes not in (None, *VALID_LANES):
+            raise ValidationError(f"lanes must be one of {VALID_LANES}")
+    except ValidationError as exc:
+        return f"link {a}-{b}: {exc}"
+    return None
+
+
+BIG = int(sys.float_info.max)
+NUMBERS = (1.0, 0.0, -0.0, 5e-324, sys.float_info.max, math.inf, -math.inf,
+           math.nan, -1, 3, BIG, BIG + 1, 2 ** 1024, True)
+# a valid link's fields, then the values each field is tried with
+FIELDS = ((("a", "b"), [("a", "b"), ("a", "a")]),
+          (LinkKind.PCIE, [LinkKind.PCIE, LinkKind.NVLINK, "Pcie", None]),
+          (16.0, NUMBERS), (0.5, NUMBERS),
+          (16, [None, 0, 1, 3, 16, 16.0, 32, True]), (0.0, NUMBERS))
+
+
+def test_link_accepts_exactly_what_each_rule_accepts():
+    # Link's one-expression test must never pass a link that a rule
+    # rejects: every value of every two fields, the rest valid.
+    cases = 0
+    for i, j in itertools.combinations(range(len(FIELDS)), 2):
+        for x, y in itertools.product(FIELDS[i][1], FIELDS[j][1]):
+            values = [base for base, _ in FIELDS]
+            values[i], values[j] = x, y
+            (a, b), *rest = values
+            try:
+                Link(a, b, *rest)
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == rule_by_rule(a, b, *rest), values
+            cases += 1
+    assert cases == 1232
