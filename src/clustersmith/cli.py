@@ -94,11 +94,13 @@ _FLOW_NUMBERS = (("bytes", float, None), ("release", float, 0.0),
 
 
 def load_levels(text: str,
-                g: topology.TopologyGraph) -> list[parallelism.ParallelLevel]:
-    """`level <name> strategy=<s> participants=a,b,c payload=<bytes> ...`,
-    in the line format of `clustersmith.lineformat`, each checked against
-    the graph `g` as `parallelism.comm_time` checks it."""
-    levels = []
+                g: topology.TopologyGraph) -> parallelism.TimeMatrix:
+    """The `TimeMatrix` on `g` of `level <name> strategy=<s>
+    participants=a,b,c payload=<bytes> ...` lines, in the line format of
+    `clustersmith.lineformat`.  Each level is built and priced at its line,
+    so an error names the first line at fault, at the token of the field at
+    fault, else at the line's first."""
+    levels, runs, totals = [], [], []
     for line in lineformat.records(text):
         tokens = line.tokens
         if tokens[0] != "level" or len(tokens) < 2:
@@ -113,28 +115,17 @@ def load_levels(text: str,
             kwargs["server"] = kv.pop("server")
         participants = tuple(p for p in kv.pop("participants").split(",") if p)
         line.no_more(kv, "level")
-        level = line.build(
-            parallelism.ParallelLevel, name=tokens[1], strategy=strategy,
-            participants=participants, **kwargs)
         try:
-            parallelism.check_level(level, g)
+            level = parallelism.ParallelLevel(
+                name=tokens[1], strategy=strategy, participants=participants,
+                **kwargs)
+            priced = parallelism.comm_time(level, g)
+            totals.append(parallelism.total(priced, level.name))
         except ValidationError as exc:  # at the field's token, else the line's
-            raise line.error(str(exc), exc.at[1] or 0) from exc
+            raise line.error(str(exc), exc.at and exc.at[1] or 0) from exc
         levels.append(level)
-    return levels
-
-
-def _priced(price, levels, text: str):
-    """`price()`; a ValidationError `at` one of `levels`, read from `text`
-    by `load_levels`, becomes a ParseError at that level's line: at the
-    field's token, else the line's first."""
-    try:
-        return price()
-    except ValidationError as exc:
-        level, field = exc.at
-        i = next(i for i, lv in enumerate(levels) if lv is level)
-        line = list(lineformat.records(text))[i]  # each record is a level
-        raise line.error(str(exc), field or 0) from exc
+        runs.append(priced)
+    return parallelism.TimeMatrix(tuple(levels), tuple(runs), tuple(totals))
 
 
 def load_flows(text: str) -> list[contention.Flow]:
@@ -152,8 +143,11 @@ def load_flows(text: str) -> list[contention.Flow]:
         kv = line.fields(2)
         if "bytes" not in kv:
             raise line.error("flow needs bytes=")
-        flows.append(line.build(contention.Flow, tokens[1],
-                                *line.numbers(kv, _FLOW_NUMBERS)))
+        try:
+            flows.append(contention.Flow(
+                tokens[1], *line.numbers(kv, _FLOW_NUMBERS)))
+        except ValidationError as exc:
+            raise line.error(str(exc)) from exc
         line.no_more(kv, "flow")
     return flows
 
@@ -176,12 +170,9 @@ def cmd_topo(args) -> int:
 
 def cmd_plan(args) -> int:
     g = topology.load_topology(_read(args.topo))
-    text = _read(args.levels)
-    levels = load_levels(text, g)
-    if not levels:
+    matrix = load_levels(_read(args.levels), g)
+    if not matrix.levels:
         raise ParseError("no levels in levels file", 1, 1)
-    matrix = _priced(lambda: parallelism.build_time_matrix(levels, g),
-                     levels, text)
     winner, total = matrix.winner()
     print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
           f"{total!r} s total")
@@ -261,20 +252,16 @@ def cmd_gnn(args) -> int:
     model = gnn.load_model(_read(args.model))
     g = topology.load_topology(_read(args.topo))
     text = _read(args.level)
-    levels = load_levels(text, g)
-    if len(levels) != 1:  # at the second level, or at the top of an empty file
+    matrix = load_levels(text, g)
+    if len(matrix.levels) != 1:  # at the second level, or atop an empty file
         message = "gnn predict expects exactly one level"
         lines = lineformat.records(text)
         second = next(lines, None) and next(lines, None)
         raise second.error(message) if second else ParseError(message, 1, 1)
-    level = levels[0]
-    predicted = gnn.predict_seconds(model, g, level)
-    if args.compare:
-        analytic = _priced(lambda: parallelism.total(
-            parallelism.comm_time(level, g), level.name, at=(level, None)),
-            levels, text)
+    predicted = gnn.predict_seconds(model, g, matrix.levels[0])
     print(f"predicted {predicted!r} s")
     if args.compare:
+        analytic = matrix.row_totals[0]
         rel = abs(predicted - analytic) / analytic if analytic else float("inf")
         print(f"analytic  {analytic!r} s (relative error {rel:.4f})")
     return EXIT_OK

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 
 
 def decode(data: bytes) -> str:
@@ -68,13 +68,6 @@ class Line:
             start = self.text.index(token, col)
             col = start + len(token)
         return ParseError(message, self.no, start + 1)
-
-    def build(self, cls, /, *args, **fields):
-        """`cls(...)`; a ValidationError becomes a ParseError at token 0."""
-        try:
-            return cls(*args, **fields)
-        except ValidationError as exc:
-            raise self.error(str(exc)) from exc
 
     def fields(self, start: int) -> dict:
         """The `key=value` tokens from index `start` on, as {key: value}."""

@@ -86,7 +86,7 @@ Transfer = namedtuple("Transfer", "src dst bytes")
 def traffic_for_level(
         level: ParallelLevel) -> tuple[tuple[tuple[Transfer, ...], int], ...]:
     """Expand a level into runs `(phase, count)`, each phase a tuple of
-    transfers repeated `count` times; `check_level` has passed it."""
+    transfers repeated `count` times; `comm_time` checks the level first."""
     n = level.n
     if n < 2:
         return ()
@@ -108,8 +108,8 @@ def traffic_for_level(
     raise ValueError(f"unknown strategy {level.strategy!r}")
 
 
-def check_level(level: ParallelLevel, g: TopologyGraph) -> None:
-    """Reject what `comm_time` would of `level` on `g` before routing it: a
+def _check_level(level: ParallelLevel, g: TopologyGraph) -> None:
+    """Reject what `comm_time` cannot route of `level` on `g`: a
     ValidationError naming the level, `at` the (level, field) at fault, the
     field None when no one field is."""
     def fail(message, field=None):
@@ -146,9 +146,10 @@ def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
 
 def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int], ...]:
     """`(seconds, count)` of each run of one level on a topology; `total`
-    of them is the level's time.  A routing error names the level, `at`
+    of them is the level's time.  A level `g` cannot route is an error as
+    `_check_level` gives it; a routing error names the level, `at`
     (level, "participants")."""
-    check_level(level, g)
+    _check_level(level, g)
     window_cap = (_window_cap_bytes_per_s(level)  # inf: no window bound
                   if level.strategy == Strategy.IN_NETWORK_AGGREGATION
                   else float("inf"))
@@ -177,33 +178,30 @@ def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int]
     return tuple(priced)
 
 
-def total(runs, name: str, at=None) -> float:
+def total(runs, name: str) -> float:
     """Correctly rounded sum of seconds * count over `(seconds, count)`
     runs: one exact sum, rounded once, so it depends on neither the order
     nor the layout of the runs.  A time that is not finite is an error
-    naming level `name`, `at` the given (level, field)."""
+    naming level `name`, at no one field."""
     from fractions import Fraction  # not imported at start-up
 
     try:
         return float(sum(Fraction(t) * count for t, count in runs))
     except (ValueError, OverflowError):  # nan, inf, or a sum past float range
         raise ValidationError(f"level {name!r}: time is not a finite number "
-                              "of seconds", at=at) from None
+                              "of seconds") from None
 
 
 @dataclass(frozen=True)
 class TimeMatrix:
     levels: tuple[ParallelLevel, ...]
     runs: tuple[tuple[tuple[float, int], ...], ...]  # per level, from comm_time
+    row_totals: tuple[float, ...]  # per level, `total` of its runs
     phase_count: int = field(init=False)
-    row_totals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phase_count", max(
             (sum(count for _, count in runs) for runs in self.runs), default=0))
-        object.__setattr__(self, "row_totals", tuple(
-            total(runs, lv.name, at=(lv, None))
-            for lv, runs in zip(self.levels, self.runs)))
 
     def winner(self) -> tuple[ParallelLevel, float]:
         """Cheapest level by total communication time; ties prefer smaller
@@ -267,10 +265,3 @@ def _repeated(cells, prefix: str):
         yield from itertools.repeat(cell * per, full)
         if rest:
             yield cell * rest
-
-
-def build_time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
-    levels = tuple(levels)
-    if not levels:
-        raise ValidationError("need at least one level")
-    return TimeMatrix(levels, tuple(comm_time(lv, g) for lv in levels))

@@ -8,6 +8,7 @@ import pytest
 
 from clustersmith.commcost import ResolvedPath
 from clustersmith.errors import ValidationError
+from clustersmith.parallelism import TimeMatrix, comm_time, total
 from clustersmith.topology import (
     Link,
     LinkKind,
@@ -75,6 +76,18 @@ def expanded_rows(matrix) -> tuple[tuple[float, ...], ...]:
     rows = [expand(runs) for runs in matrix.runs]
     return tuple(tuple(row + [0.0] * (matrix.phase_count - len(row)))
                  for row in rows)
+
+
+def matrix_of(levels, runs) -> TimeMatrix:
+    """The `TimeMatrix` of `levels` with these `runs`, each row totalled."""
+    return TimeMatrix(tuple(levels), tuple(runs), tuple(
+        total(r, lv.name) for lv, r in zip(levels, runs)))
+
+
+def time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
+    """The `TimeMatrix` of `levels` on `g`, each level priced as
+    `cli.load_levels` prices it: `comm_time`, then `total`."""
+    return matrix_of(levels, [comm_time(lv, g) for lv in levels])
 
 
 def random_graph(rng: random.Random, max_nodes: int = 8,

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from clustersmith import gnn
+from clustersmith.cli import load_levels
 from clustersmith.commcost import link_time, path_time, resolve_path
 from clustersmith.contention import (Flow, SwitchModel, optimize_stagger,
                                      simulate, with_offsets)
-from clustersmith.parallelism import (ParallelLevel, Strategy,
-                                      build_time_matrix, traffic_for_level)
+from clustersmith.parallelism import ParallelLevel, Strategy, traffic_for_level
 from clustersmith.pricing import coverage_table_cells
 from clustersmith.topology import (Link, LinkKind, NodeKind, PRESET_NAMES,
                                    export_topo, load_preset, load_topology)
@@ -115,15 +115,11 @@ def test_acceptance_4_stagger_benefit():
 def test_acceptance_5_pipeline_on_nvlink4():
     start = time.perf_counter()
     graph = load_preset("nvlink4.topo")
-    levels = [
-        ParallelLevel(name="ring4", strategy=Strategy.RING_ALLREDUCE,
-                      participants=("gpu0", "gpu1", "gpu2", "gpu3"),
-                      payload_bytes=10e9),
-        ParallelLevel(name="ring2", strategy=Strategy.RING_ALLREDUCE,
-                      participants=("gpu0", "gpu1"),
-                      payload_bytes=10e9),
-    ]
-    matrix = build_time_matrix(levels, graph)
+    matrix = load_levels(
+        "level ring4 strategy=ring_allreduce participants=gpu0,gpu1,gpu2,gpu3"
+        " payload=10e9\n"
+        "level ring2 strategy=ring_allreduce participants=gpu0,gpu1"
+        " payload=10e9\n", graph)
     # ring4: 2(n-1) = 6 phases, chunk 2.5 GB; the ring gpu0-gpu1-gpu2-gpu3-gpu0
     # bottlenecks on its 20 GB/s hops -> 0.125 s per phase.
     assert matrix.phase_count == 6

@@ -195,12 +195,12 @@ def test_plan_evaluates_each_level_and_route_once(capsys, tmp_path, monkeypatch)
     assert len(indexes) == 1
     # one route per transfer of each distinct phase; the GDR-off NIC
     # server's transfers take the host-memory detour
-    transfers = Counter()
+    planned, transfers = routes.copy(), Counter()
     g = topology.load_topology(topo.read_text())
-    for level in load_levels(DUAL_SOCKET_LEVELS, g):
+    for level in load_levels(DUAL_SOCKET_LEVELS, g).levels:
         for phase, _ in parallelism.traffic_for_level(level):
             transfers.update((x.src, x.dst) for x in phase)
-    assert routes == transfers
+    assert planned == transfers
     assert ("gpu0", "nic0") in routes
 
 
@@ -389,8 +389,7 @@ def test_plan_memory_does_not_grow_with_microbatches(capsys, tmp_path,
 
     plan(1)  # first use: lazy imports and caches
     _, base_peak = plan(1)
-    level, = load_levels(levels.read_text(), nvlink4)
-    (t, _), = parallelism.comm_time(level, nvlink4)
+    (t, _), = load_levels(levels.read_text(), nvlink4).runs[0]
     # 10**6 first: a per-phase list would cost megabytes there, not gigabytes
     for microbatches in (10 ** 6, 10 ** 9):
         result, peak = plan(microbatches)

@@ -1,13 +1,15 @@
 """Errors while pricing a level point at that level's line: a routing error
 at its `participants=` token, named for the level, and a time that is not
-finite at the line's first token."""
+finite at the line's first token.  Each level is priced at its line, so
+the first line at fault is the one named, and `gnn predict` rejects what
+`plan` rejects."""
 
 import pytest
 
 from clustersmith import gnn
 from clustersmith.cli import load_levels, main
-from clustersmith.errors import ValidationError
-from clustersmith.parallelism import build_time_matrix, comm_time
+from clustersmith.errors import ParseError, ValidationError
+from clustersmith.parallelism import ParallelLevel, Strategy, comm_time
 from clustersmith.topology import load_topology
 
 # c is declared but joined to nothing
@@ -50,8 +52,7 @@ def write(tmp_path, **files):
 
 def test_routing_error_names_the_level_at_its_participants():
     g = load_topology(SPLIT)
-    ab, r = load_levels(LEVELS, g)
-    assert comm_time(ab, g)
+    r = ParallelLevel("r", Strategy.RING_ALLREDUCE, ("a", "b", "c"), 1e9)
     with pytest.raises(ValidationError) as info:
         comm_time(r, g)
     assert str(info.value) == "level 'r': no route from 'b' to 'c'"
@@ -60,10 +61,9 @@ def test_routing_error_names_the_level_at_its_participants():
 
 def test_time_that_is_not_finite_is_at_its_level():
     g = load_topology(SLOW)
-    level, = load_levels(HUGE, g)
-    with pytest.raises(ValidationError) as info:
-        build_time_matrix([level], g)
-    assert info.value.at[0] is level and info.value.at[1] is None
+    with pytest.raises(ParseError) as info:
+        load_levels(HUGE, g)
+    assert f"error: {info.value}\n" == NOT_FINITE
 
 
 def test_plan_with_no_route_points_at_the_level(capsys, tmp_path):
@@ -92,5 +92,20 @@ def test_gnn_predict_compare_prints_nothing_before_the_error(
     argv = ["gnn", "predict", "--model", model, "--topo", topo,
             "--level", level]
     assert run(capsys, *argv, "--compare") == (2, "", message)
-    code, out, err = run(capsys, *argv)  # the prediction alone needs no route
-    assert (code, err) == (0, "") and out.startswith("predicted ")
+    assert run(capsys, *argv) == (2, "", message)
+
+
+# line 1 has no route and line 2 is not read: the first line at fault
+FAULTS = """\
+level r strategy=ring_allreduce participants=a,b,c payload=1e9
+level ab strategy=ring_allreduce participants=a,b payload=oops
+"""
+
+
+def test_the_first_line_at_fault_is_named(capsys, tmp_path, model):
+    topo, levels = write(tmp_path, **{"t.topo": SPLIT, "levels.txt": FAULTS})
+    message = "error: line 1, col 33: level 'r': no route from 'b' to 'c'\n"
+    assert run(capsys, "plan", "--topo", topo, "--levels", levels) == (
+        2, "", message)
+    assert run(capsys, "gnn", "predict", "--model", model, "--topo", topo,
+               "--level", levels) == (2, "", message)

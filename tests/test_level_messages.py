@@ -4,13 +4,16 @@ broken in a fixed, seeded set of single-fault ways, and a SHA-256 over
 before levels were priced at their lines.  The faults span every kind of
 level error: the line format, a `ParallelLevel` rule, an unknown node, a
 server of the wrong kind, a pair with no route, and a time that is not
-finite.  Any change of a message, a line or a column shows."""
+finite.  Any change of a message, a line or a column shows.  `gnn
+predict`, with and without `--compare`, rejects each faulty level with
+`plan`'s message."""
 
 import hashlib
 import random
 from importlib import resources
 from pathlib import Path
 
+from clustersmith import gnn
 from clustersmith.cli import main
 from clustersmith.topology import load_topology
 
@@ -248,6 +251,12 @@ def write(tmp_path, **files):
     return [str(tmp_path / name) for name in files]
 
 
+# a part of a message of each kind of level error
+KINDS = ("not a number", "unknown level key", "must be finite",
+         "repeated participants", "takes no server", "is also a participant",
+         "needs at least one participant", "unknown node",
+         "needs a server= node", "expected one of", "no route from",
+         "time is not a finite number")
 # Recorded with the parser that checked every level of a file before it
 # priced any.
 MESSAGES_SHA256 = "d806b9055a62888c32ae6b97251edec23b494d45629a1f52f20b98d6f667d4aa"
@@ -270,9 +279,16 @@ def test_level_messages_match_recorded_digest(capsys, tmp_path):
     assert digest.hexdigest() == MESSAGES_SHA256
 
 
-# a part of a message of each kind of level error
-KINDS = ("not a number", "unknown level key", "must be finite",
-         "repeated participants", "takes no server", "is also a participant",
-         "needs at least one participant", "unknown node",
-         "needs a server= node", "expected one of", "no route from",
-         "time is not a finite number")
+def test_gnn_predict_rejects_what_plan_rejects(capsys, tmp_path):
+    model, = write(tmp_path, **{"model.txt": gnn.save_model(
+        gnn.init_model(seed=0))})
+    for name, topo, levels, alone in cases():
+        topo, levels, level = write(tmp_path, **{
+            "t.topo": topo, "l.txt": levels, "level.txt": alone})
+        code, _, err = run(capsys, "plan", "--topo", topo, "--levels", levels)
+        predict = ["gnn", "predict", "--model", model, "--topo", topo,
+                   "--level", level]
+        for argv in (predict, predict + ["--compare"]):
+            got, out, got_err = run(capsys, *argv)
+            assert (got, got_err) == (code, err), (name, argv[-1])
+            assert out.startswith("predicted ") == (code == 0)
