@@ -113,7 +113,12 @@ def load_levels(text: str,
             _LEVEL_FIELDS, line.numbers(kv, _LEVEL_NUMBERS)) if value is not None}
         if "server" in kv:
             kwargs["server"] = kv.pop("server")
-        participants = tuple(p for p in kv.pop("participants").split(",") if p)
+        names = kv.pop("participants").split(",")
+        participants = tuple(p for p in names if p)
+        # no name at all is a level without participants, which pricing rejects
+        if participants and len(participants) < len(names):
+            raise line.error(f"level {tokens[1]!r}: empty participant name",
+                             "participants")
         line.no_more(kv, "level")
         try:
             level = parallelism.ParallelLevel(

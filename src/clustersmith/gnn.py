@@ -28,35 +28,31 @@ SPLIT = 0.8  # share of the samples trained on; the rest validate
 FORMAT_VERSION = "clustersmith-gnn v1"
 
 
-def normalized_adjacency(a: np.ndarray) -> np.ndarray:
-    """Symmetric renormalized adjacency with self-loops:
-    D^{-1/2} (A + I) D^{-1/2}."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
-        raise ValidationError("adjacency must be a symmetric square matrix")
-    if np.any(np.diag(a) != 0):
-        raise ValidationError("adjacency must have a zero diagonal")
-    a_hat = a + np.eye(a.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * np.outer(d_inv_sqrt, d_inv_sqrt)  # symmetric as `a` is
+def graph_inputs(g: TopologyGraph, level: ParallelLevel):
+    """(A_hat, H) of one (graph, level) instance, from the graph's links.
 
-
-def node_features(g: TopologyGraph, level: ParallelLevel) -> np.ndarray:
-    """|V| x 14 feature matrix for one (graph, level) instance."""
-    participants = set(level.participants)
-    h = np.zeros((len(g.nodes), FEATURE_DIM))
-    incident_bw = {n.id: 0.0 for n in g.nodes}
-    for l in g.links:
-        incident_bw[l.endpoint_a] += l.bandwidth
-        incident_bw[l.endpoint_b] += l.bandwidth
-    degree = g.adjacency.sum(axis=1)
-    for i, node in enumerate(g.nodes):
-        h[i, KIND_ORDER.index(node.kind)] = 1.0
-        h[i, 10] = degree[i] / 4.0
-        h[i, 11] = np.log10(1.0 + incident_bw[node.id]) - 1.5
-        h[i, 12] = 1.0 if node.id in participants else 0.0
-        h[i, 13] = np.log10(1.0 + level.payload_bytes) - 8.5
-    return h
+    A_hat is the renormalized adjacency with self-loops, D^{-1/2} (A + I)
+    D^{-1/2}, in node declaration order; parallel links count once.  H is
+    the |V| x 14 feature matrix; a link's bandwidth counts at both its ends,
+    and a participant the graph lacks sets no flag.
+    """
+    n = len(g.nodes)
+    ends = np.array([(g.index[l.endpoint_a], g.index[l.endpoint_b])
+                     for l in g.links], dtype=np.intp).reshape(-1, 2)
+    a_hat = np.eye(n)
+    a_hat[ends[:, 0], ends[:, 1]] = a_hat[ends[:, 1], ends[:, 0]] = 1.0
+    degree = a_hat.sum(axis=1)
+    d_inv_sqrt = 1.0 / np.sqrt(degree)
+    # summed per node in link order, as both endpoints of each link in turn
+    incident_bw = np.bincount(ends.ravel(), np.repeat(
+        [l.bandwidth for l in g.links], 2), n)
+    h = np.zeros((n, FEATURE_DIM))
+    h[np.arange(n), [KIND_ORDER.index(node.kind) for node in g.nodes]] = 1.0
+    h[:, 10] = (degree - 1.0) / 4.0
+    h[:, 11] = np.log10(1.0 + incident_bw) - 1.5
+    h[[g.index[p] for p in set(level.participants) if p in g.index], 12] = 1.0
+    h[:, 13] = np.log10(1.0 + level.payload_bytes) - 8.5
+    return a_hat * np.outer(d_inv_sqrt, d_inv_sqrt), h
 
 
 @dataclass
@@ -108,7 +104,7 @@ class GraphBatch:
     and summed in row order, so a graph's prediction is bit for bit its own
     B = 1 `forward`, wherever it sits.  `ah` is A_hat H, the first layer's
     input, fixed while the weights train.  Each A_hat must be symmetric, as
-    `normalized_adjacency` makes it: the backward pass aggregates with it.
+    `graph_inputs` makes it: the backward pass aggregates with it.
     """
 
     def __init__(self, pairs):
@@ -234,13 +230,9 @@ def batch_gradients(model: GnnModel, batch: GraphBatch,
                      head_b=float(d_pred.sum()), loss=float(err @ err))
 
 
-def _inputs(g: TopologyGraph, level: ParallelLevel):
-    return normalized_adjacency(g.adjacency), node_features(g, level)
-
-
 def predict_seconds(model: GnnModel, g: TopologyGraph,
                     level: ParallelLevel) -> float:
-    z = forward(model, *_inputs(g, level))
+    z = forward(model, *graph_inputs(g, level))
     return float(np.exp(z * model.label_sigma + model.label_mu))
 
 
@@ -341,7 +333,7 @@ def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
     train_idx = order[:n_train]
     val_idx = order[n_train:]
 
-    batch = GraphBatch(_inputs(samples[i].graph, samples[i].level)
+    batch = GraphBatch(graph_inputs(samples[i].graph, samples[i].level)
                        for i in train_idx)
     zs = np.array([np.log(samples[i].label_seconds) for i in train_idx])
     model.label_mu = float(zs.mean())
@@ -378,7 +370,7 @@ def validation_mape(model: GnnModel, samples, val_idx) -> float:
     """Mean absolute percentage error in the seconds domain."""
     if not val_idx:
         raise ValidationError("validation needs at least one held-out sample")
-    batch = GraphBatch(_inputs(samples[i].graph, samples[i].level)
+    batch = GraphBatch(graph_inputs(samples[i].graph, samples[i].level)
                        for i in val_idx)
     z = _forward(model, batch)[0]
     labels = np.array([samples[i].label_seconds for i in val_idx])

@@ -106,8 +106,8 @@ class TopologyGraph:
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     gdr: bool = False
-    # index, adjacency and routing (below) are derived; excluded from
-    # equality so that a reloaded graph compares equal on declarations alone.
+    # index and routing (below) are derived; excluded from equality so that
+    # a reloaded graph compares equal on declarations alone.
     index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -127,19 +127,6 @@ class TopologyGraph:
         if node_id not in self.index:
             raise ValidationError(f"unknown node {node_id!r}")
         return self.nodes[self.index[node_id]]
-
-    @cached_property
-    def adjacency(self):
-        """Read-only 0/1 int64 adjacency matrix in node declaration order,
-        built on first use, so only callers that read it import numpy."""
-        import numpy as np
-
-        a = np.zeros((len(self.nodes), len(self.nodes)), dtype=np.int64)
-        for l in self.links:
-            i, j = self.index[l.endpoint_a], self.index[l.endpoint_b]
-            a[i, j] = a[j, i] = 1
-        a.flags.writeable = False
-        return a
 
     @cached_property
     def routing(self):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from clustersmith.commcost import ResolvedPath
@@ -88,6 +89,46 @@ def time_matrix(levels, g: TopologyGraph) -> TimeMatrix:
     """The `TimeMatrix` of `levels` on `g`, each level priced as
     `cli.load_levels` prices it: `comm_time`, then `total`."""
     return matrix_of(levels, [comm_time(lv, g) for lv in levels])
+
+
+def link_adjacency(g: TopologyGraph) -> np.ndarray:
+    """0/1 int64 adjacency matrix in node declaration order, set link by
+    link.  Only used as an oracle."""
+    ids = [n.id for n in g.nodes]
+    a = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    for l in g.links:
+        i, j = ids.index(l.endpoint_a), ids.index(l.endpoint_b)
+        a[i, j] = a[j, i] = 1
+    return a
+
+
+def dense_normalized_adjacency(a: np.ndarray) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} of a 0/1 adjacency matrix, by dense N x N
+    arithmetic.  Only used as an oracle."""
+    a_hat = np.asarray(a, dtype=float) + np.eye(len(a))
+    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * np.outer(d_inv_sqrt, d_inv_sqrt)
+
+
+def loop_node_features(g: TopologyGraph, level) -> np.ndarray:
+    """The |V| x 14 GNN feature matrix of (g, level), node by node: kind
+    one-hot, degree / 4, log10(1 + incident bandwidth) - 1.5, participant
+    flag, log10(1 + payload) - 8.5.  Only used as an oracle."""
+    kinds = list(NodeKind)
+    participants = set(level.participants)
+    h = np.zeros((len(g.nodes), len(kinds) + 4))
+    incident_bw = {n.id: 0.0 for n in g.nodes}
+    for l in g.links:
+        incident_bw[l.endpoint_a] += l.bandwidth
+        incident_bw[l.endpoint_b] += l.bandwidth
+    degree = link_adjacency(g).sum(axis=1)
+    for i, node in enumerate(g.nodes):
+        h[i, kinds.index(node.kind)] = 1.0
+        h[i, 10] = degree[i] / 4.0
+        h[i, 11] = np.log10(1.0 + incident_bw[node.id]) - 1.5
+        h[i, 12] = 1.0 if node.id in participants else 0.0
+        h[i, 13] = np.log10(1.0 + level.payload_bytes) - 8.5
+    return h
 
 
 def random_graph(rng: random.Random, max_nodes: int = 8,

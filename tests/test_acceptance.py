@@ -186,8 +186,7 @@ def test_acceptance_7_gnn_verification():
     base = flatten(model)
     checked = 0
     for sample in samples:
-        a_hat = gnn.normalized_adjacency(sample.graph.adjacency)
-        h = gnn.node_features(sample.graph, sample.level)
+        a_hat, h = gnn.graph_inputs(sample.graph, sample.level)
         target = float(np.log(sample.label_seconds))
         grads = gnn.gradients(model, a_hat, h, target)
         gflat = np.concatenate(
@@ -212,8 +211,7 @@ def test_acceptance_7_gnn_verification():
     # (b) permutation invariance of forward
     for seed in range(5):
         sample = gnn.generate_dataset(seed=100 + seed, count=1)[0]
-        a_hat = gnn.normalized_adjacency(sample.graph.adjacency)
-        h = gnn.node_features(sample.graph, sample.level)
+        a_hat, h = gnn.graph_inputs(sample.graph, sample.level)
         reference = gnn.forward(model, a_hat, h)
         perm = np.random.default_rng(seed).permutation(len(h))
         permuted = gnn.forward(model, a_hat[np.ix_(perm, perm)], h[perm])

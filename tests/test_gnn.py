@@ -1,9 +1,12 @@
 import copy
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustersmith import gnn
 from clustersmith.errors import ParseError, ValidationError
@@ -16,25 +19,53 @@ from clustersmith.gnn import (
     forward,
     generate_dataset,
     gradients,
+    graph_inputs,
     init_model,
     load_model,
-    node_features,
-    normalized_adjacency,
     predict_seconds,
     save_model,
     train,
     validation_mape,
 )
-from clustersmith.parallelism import comm_time
+from clustersmith.parallelism import ParallelLevel, Strategy, comm_time
+from clustersmith.topology import (
+    Link,
+    LinkKind,
+    Node,
+    NodeKind,
+    build_graph,
+    load_topology,
+)
+
+from conftest import (
+    REWRITES,
+    dense_normalized_adjacency,
+    dual_socket_text,
+    link_adjacency,
+    loop_node_features,
+)
+
+DATA = Path(__file__).parent / "data"
+RING = Strategy.RING_ALLREDUCE
+
+
+def _a_hat(n, pairs):
+    """`graph_inputs`' A_hat of GPUs g0..g<n-1> linked at index `pairs`."""
+    nodes = [Node(f"g{i}", NodeKind.GPU) for i in range(n)]
+    links = [Link(f"g{i}", f"g{j}", LinkKind.NVLINK, 10.0) for i, j in pairs]
+    return graph_inputs(build_graph(nodes, links),
+                        ParallelLevel("l", RING, (), 1e9))[0]
 
 
 def test_normalized_adjacency_isolated_node():
-    assert normalized_adjacency(np.zeros((1, 1))).tolist() == [[1.0]]
+    assert _a_hat(1, []).tolist() == [[1.0]]
 
 
 def test_normalized_adjacency_single_edge():
-    a = np.array([[0, 1], [1, 0]])
-    assert normalized_adjacency(a) == pytest.approx(np.full((2, 2), 0.5))
+    assert _a_hat(2, [(0, 1)]) == pytest.approx(np.full((2, 2), 0.5))
+    # a parallel link, either way round, counts once
+    assert np.array_equal(_a_hat(2, [(0, 1), (1, 0), (0, 1)]),
+                          _a_hat(2, [(0, 1)]))
 
 
 def test_normalized_adjacency_path_graph_oracle():
@@ -43,25 +74,56 @@ def test_normalized_adjacency_path_graph_oracle():
     ai = a + np.eye(3)
     d = np.diag(1.0 / np.sqrt(ai.sum(axis=1)))
     expected = d @ ai @ d
-    assert normalized_adjacency(a) == pytest.approx(expected)
+    assert _a_hat(3, [(0, 1), (1, 2)]) == pytest.approx(expected)
 
 
 def test_normalized_adjacency_k_regular_diagonal():
     # ring of 5 nodes is 2-regular: diagonal 1/(k+1)
-    a = np.zeros((5, 5))
-    for i in range(5):
-        a[i, (i + 1) % 5] = a[(i + 1) % 5, i] = 1
-    norm = normalized_adjacency(a)
+    norm = _a_hat(5, [(i, (i + 1) % 5) for i in range(5)])
     assert np.diag(norm) == pytest.approx(np.full(5, 1 / 3))
 
 
-def test_normalized_adjacency_rejects_asymmetric():
-    with pytest.raises(ValidationError, match="adjacency must be a "
-                       "symmetric square matrix"):
-        normalized_adjacency(np.array([[0, 1], [0, 0]]))
-    with pytest.raises(ValidationError,
-                       match="adjacency must have a zero diagonal"):
-        normalized_adjacency(np.array([[1.0]]))
+def _assert_inputs_equal_oracles(g, level):
+    a_hat, h = graph_inputs(g, level)
+    assert np.array_equal(a_hat, dense_normalized_adjacency(link_adjacency(g)))
+    assert np.array_equal(h, loop_node_features(g, level))
+
+
+def test_graph_inputs_equal_the_dense_and_loop_builders(nvlink4, dual_socket):
+    cluster = load_topology((DATA / "plan-cluster-seed1.topo").read_text())
+    # every README rewrite of the dual-socket preset at once
+    rewritten = load_topology(dual_socket_text(*REWRITES))
+    for g in (nvlink4, dual_socket, cluster, rewritten):
+        gpus = tuple(n.id for n in g.nodes if n.kind is NodeKind.GPU)
+        _assert_inputs_equal_oracles(g, ParallelLevel("r", RING, gpus, 1e9))
+        # a participant the graph lacks sets no flag
+        _assert_inputs_equal_oracles(
+            g, ParallelLevel("x", RING, (g.nodes[-1].id, "absent"), 0.0))
+    for sample in generate_dataset(seed=0, count=200):
+        _assert_inputs_equal_oracles(sample.graph, sample.level)
+
+
+@st.composite
+def _graphs_and_levels(draw):
+    """Up to 8 nodes, some isolated, and up to 24 links, many parallel."""
+    n = draw(st.integers(1, 8))
+    nodes = [Node(f"n{i}", draw(st.sampled_from(list(NodeKind))))
+             for i in range(n)]
+    links = [Link(f"n{i}", f"n{(i + hop) % n}", LinkKind.PCIE, bw)
+             for i, hop, bw in draw(st.lists(st.tuples(
+                 st.integers(0, n - 1), st.integers(1, max(1, n - 1)),
+                 st.floats(1e-3, 1e3)), max_size=24 if n > 1 else 0))]
+    participants = draw(st.lists(st.sampled_from(
+        [node.id for node in nodes] + ["absent"]), unique=True))
+    level = ParallelLevel("l", RING, tuple(participants),
+                          draw(st.floats(0.0, 1e12)))
+    return build_graph(nodes, links), level
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_graphs_and_levels())
+def test_graph_inputs_equal_the_oracles_on_random_graphs(graph_and_level):
+    _assert_inputs_equal_oracles(*graph_and_level)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +132,7 @@ def test_normalized_adjacency_rejects_asymmetric():
 
 def _random_instance(seed=0):
     sample = generate_dataset(seed=seed, count=1)[0]
-    a_hat = normalized_adjacency(sample.graph.adjacency)
-    h = node_features(sample.graph, sample.level)
-    return sample, a_hat, h
+    return (sample, *graph_inputs(sample.graph, sample.level))
 
 
 def test_forward_zero_model_predicts_zero():
@@ -211,8 +271,7 @@ def _reference_gradients(model, a_hat, h, target):
 def _mixed_batch(seed, count=9):
     """(a_hat, h) pairs of graphs with different node counts, and targets."""
     samples = generate_dataset(seed=seed, count=count)
-    pairs = [(normalized_adjacency(s.graph.adjacency),
-              node_features(s.graph, s.level)) for s in samples]
+    pairs = [graph_inputs(s.graph, s.level) for s in samples]
     assert len({len(h) for _, h in pairs}) > 2
     targets = np.random.default_rng(seed).normal(size=count)
     return pairs, targets
@@ -282,7 +341,7 @@ def test_padding_size_changes_nothing():
     pairs, targets = _mixed_batch(5)
     model = _biased_model(5)
     ring = np.roll(np.eye(20), 1, axis=1)
-    big = (normalized_adjacency(ring + ring.T),
+    big = (dense_normalized_adjacency(ring + ring.T),
            np.random.default_rng(5).uniform(size=(20, gnn.FEATURE_DIM)))
     runs, widths = [], []
     # the same batch with one more graph: a copy of the first, or a 20-node

@@ -109,3 +109,24 @@ def test_the_first_line_at_fault_is_named(capsys, tmp_path, model):
         2, "", message)
     assert run(capsys, "gnn", "predict", "--model", model, "--topo", topo,
                "--level", levels) == (2, "", message)
+
+
+# an empty name beside others is an error at the `participants=` token;
+# no name at all is a level without participants
+@pytest.mark.parametrize("names, message", [
+    ("a,,b", "empty participant name"),
+    ("a,b,", "empty participant name"),
+    (",a,b", "empty participant name"),
+    (",", "needs at least one participant"),
+])
+def test_an_empty_participant_name_is_rejected(capsys, tmp_path, model,
+                                               names, message):
+    text = f"level r strategy=ring_allreduce participants={names} payload=1e9\n"
+    topo, levels = write(tmp_path, **{"t.topo": SPLIT, "levels.txt": text})
+    error = f"error: line 1, col 33: level 'r': {message}\n"
+    assert run(capsys, "plan", "--topo", topo, "--levels", levels) == (
+        2, "", error)
+    predict = ["gnn", "predict", "--model", model, "--topo", topo,
+               "--level", levels]
+    assert run(capsys, *predict) == (2, "", error)
+    assert run(capsys, *predict, "--compare") == (2, "", error)

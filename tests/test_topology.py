@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from clustersmith.errors import ParseError, ValidationError
+from clustersmith.gnn import graph_inputs
+from clustersmith.parallelism import ParallelLevel, Strategy
 from clustersmith.topology import (
     Link,
     LinkKind,
@@ -17,7 +19,7 @@ from clustersmith.topology import (
     load_topology,
 )
 
-from conftest import REWRITES, dual_socket_text, random_graph
+from conftest import random_graph
 
 CHAIN = """
 node cpu kind=CpuSocket
@@ -26,13 +28,24 @@ node gpu kind=Gpu
 link cpu sw kind=Pcie bw=16 lanes=16
 link sw gpu kind=Pcie bw=16
 """
+NO_LEVEL = ParallelLevel("l", Strategy.RING_ALLREDUCE, (), 0.0)
+
+
+def adjacency(g):
+    """The 0/1 adjacency the GNN reads: the off-diagonal nonzeros of
+    `graph_inputs`' A_hat, whose degree column must count them."""
+    a_hat, h = graph_inputs(g, NO_LEVEL)
+    a = (a_hat != 0).astype(np.int64)
+    np.fill_diagonal(a, 0)
+    assert np.array_equal(h[:, 10] * 4.0, a.sum(axis=1))
+    return a
 
 
 def test_chain_file():
     g = load_topology(CHAIN)
     assert len(g.nodes) == 3
     assert len(g.links) == 2
-    assert g.adjacency.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert adjacency(g).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_dangling_endpoint_named():
@@ -153,19 +166,19 @@ def test_node_labels_are_free_form():
 
 def test_adjacency_single_node():
     g = build_graph([Node(id="a", kind=NodeKind.GPU)], [])
-    assert g.adjacency.tolist() == [[0]]
+    assert adjacency(g).tolist() == [[0]]
 
 
 def test_adjacency_triangle():
     nodes = [Node(id=c, kind=NodeKind.GPU) for c in "abc"]
     links = [Link(endpoint_a=a, endpoint_b=b, kind=LinkKind.NVLINK, bandwidth=10)
              for a, b in (("a", "b"), ("b", "c"), ("a", "c"))]
-    a = build_graph(nodes, links).adjacency
+    a = adjacency(build_graph(nodes, links))
     assert a.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_adjacency_nvlink4_is_k4(nvlink4):
-    a = nvlink4.adjacency
+    a = adjacency(nvlink4)
     assert a.tolist() == (np.ones((4, 4), dtype=int)
                           - np.eye(4, dtype=int)).tolist()
 
@@ -190,50 +203,14 @@ def test_adjacency_properties_random():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, connected=False)
-        a = g.adjacency
-        assert np.array_equal(a, a.T)
-        assert not a.diagonal().any()
+        a_hat, _ = graph_inputs(g, NO_LEVEL)
+        assert np.array_equal(a_hat, a_hat.T)
+        a = adjacency(g)
+        assert np.diag(a_hat) == pytest.approx(1.0 / (a.sum(axis=1) + 1))
         for v in (n.id for n in g.nodes):
             row = a[g.index[v]]
             assert ({g.index[u] for u in neighbors(g, v)}
                     == set(np.flatnonzero(row).tolist()))
-
-
-def link_by_link_adjacency(g):
-    a = np.zeros((len(g.nodes), len(g.nodes)), dtype=np.int64)
-    ids = [n.id for n in g.nodes]
-    for l in g.links:
-        i, j = ids.index(l.endpoint_a), ids.index(l.endpoint_b)
-        a[i, j] = a[j, i] = 1
-    return a
-
-
-def test_adjacency_is_derived_on_first_use(dual_socket):
-    graphs = [dual_socket, load_topology(dual_socket_text(*REWRITES))]
-    graphs += [load_topology(dual_socket_text(name)) for name in REWRITES]
-    rng = random.Random(11)
-    graphs += [random_graph(rng, connected=False) for _ in range(20)]
-    for g in graphs:
-        assert "adjacency" not in vars(g)
-        a = g.adjacency
-        assert a is g.adjacency
-        assert a.dtype == np.int64
-        assert np.array_equal(a, link_by_link_adjacency(g))
-
-
-def test_cached_adjacency_is_read_only(nvlink4):
-    with pytest.raises(ValueError):
-        nvlink4.adjacency[0, :] = 0
-    assert nvlink4.adjacency[0].tolist() == [0, 1, 1, 1]
-
-
-def test_equality_ignores_adjacency(dual_socket):
-    text = export_topo(dual_socket)
-    read, unread = load_topology(text), load_topology(text)
-    read.adjacency
-    assert "adjacency" in vars(read) and "adjacency" not in vars(unread)
-    assert read == unread and hash(read) == hash(unread)
-    assert "adjacency" not in repr(read)
 
 
 # ---------------------------------------------------------------------------
