@@ -82,13 +82,17 @@ def _is_stdout(fd: int) -> bool:
 # Input-file parsers, in the line format of `clustersmith.lineformat`
 
 _STRATEGIES = {s.value: s for s in parallelism.Strategy}
-# level keys taking a number, as (key, type, default), and the
-# ParallelLevel field of each; an absent key keeps the field's default
-_LEVEL_NUMBERS = (("window", int, None), ("pkt", int, None),
-                  ("rtt", float, None), ("microbatches", int, None),
-                  ("activation", float, None), ("payload", float, None))
-_LEVEL_FIELDS = ("window_packets", "packet_bytes", "rtt_us", "microbatches",
-                 "activation_bytes", "payload_bytes")
+# the keys each strategy reads besides strategy= and participants=, as
+# (key, type, ParallelLevel field) in the order their values are read; any
+# other key is an error, and an absent one keeps the field's default
+_PAYLOAD, _SERVER = ("payload", float, "payload_bytes"), ("server", str, "server")
+_LEVEL_KEYS = {
+    "ring_allreduce": (_PAYLOAD,), "parameter_server": (_PAYLOAD, _SERVER),
+    "in_network_aggregation": (("window", int, "window_packets"),
+                               ("pkt", int, "packet_bytes"),
+                               ("rtt", float, "rtt_us"), _PAYLOAD, _SERVER),
+    "pipeline_p2p": (("microbatches", int, "microbatches"),
+                     ("activation", float, "activation_bytes"), _PAYLOAD)}
 _FLOW_NUMBERS = (("bytes", float, None), ("release", float, 0.0),
                  ("offset", float, 0.0))
 
@@ -109,17 +113,16 @@ def load_levels(text: str,
         if not {"strategy", "participants", "payload"} <= kv.keys():
             raise line.error("level needs strategy=, participants= and payload=")
         strategy = line.enum(kv, "strategy", _STRATEGIES, "strategy")
-        kwargs = {attr: value for attr, value in zip(
-            _LEVEL_FIELDS, line.numbers(kv, _LEVEL_NUMBERS)) if value is not None}
-        if "server" in kv:
-            kwargs["server"] = kv.pop("server")
+        spec = _LEVEL_KEYS[strategy.value]
+        values = line.numbers(kv, [(key, kind, None) for key, kind, _ in spec])
+        kwargs = {attr: v for (*_, attr), v in zip(spec, values) if v is not None}
         names = kv.pop("participants").split(",")
         participants = tuple(p for p in names if p)
         # no name at all is a level without participants, which pricing rejects
         if participants and len(participants) < len(names):
             raise line.error(f"level {tokens[1]!r}: empty participant name",
                              "participants")
-        line.no_more(kv, "level")
+        line.no_more(kv, f"{strategy.value} level")
         try:
             level = parallelism.ParallelLevel(
                 name=tokens[1], strategy=strategy, participants=participants,

@@ -69,7 +69,6 @@ EventRecord = namedtuple("EventRecord", "time_s event flow_id active_flows "
 
 @dataclass(frozen=True)
 class SimResult:
-    completions: dict
     makespan: float
     mean_completion: float
     peak_concurrency: int
@@ -145,7 +144,6 @@ def simulate(flows, sw: SwitchModel) -> SimResult:
         # rounding can still carry the sum past the largest time
         mean = min(sum(t / len(times) for t in times), makespan)
     return SimResult(
-        completions=completions,
         makespan=makespan,
         mean_completion=mean,
         peak_concurrency=max((e.active_flows for e in events), default=0),
@@ -157,11 +155,16 @@ def optimize_stagger(flows, sw: SwitchModel) -> dict:
     """Offsets serializing the flows: largest first, each starting when its
     predecessor would finish at solo bandwidth.
 
-    Serialization is work-conserving, drives peak concurrency to 1, and
-    for identical flows minimizes mean completion.  Each chain step is the
-    finish time `simulate` computes for a flow alone on the switch, and
-    each offset is rounded up until `release + offset` reaches it, so no
-    staggered start precedes its predecessor's finish.
+    Serialization drives peak concurrency to 1.  Only when a flow alone
+    fills the switch (`per_flow_cap >= upstream_bandwidth`) is it
+    work-conserving, and for identical flows does it minimize mean
+    completion.  Below that, flows wait that could have shared the switch:
+    eight 4 GB flows on a 16 GB/s upstream with a 4 GB/s cap all finish at
+    2.0 s together, but serialized at a makespan of 8.0 s and a mean of
+    4.5 s.  Each chain step is the finish time `simulate` computes for a
+    flow alone on the switch, and each offset is rounded up until
+    `release + offset` reaches it, so no staggered start precedes its
+    predecessor's finish.
     """
     flows = list(flows)
     _check_ids(flows)

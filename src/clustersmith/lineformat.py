@@ -85,7 +85,8 @@ class Line:
 
     def numbers(self, fields: dict, spec) -> list:
         """Pop each `(key, kind, default)` of `spec` from `fields`, in one
-        pass: its value as a `kind` (float or int), or `default` if absent."""
+        pass: its value as a `kind` (float, int or str), or `default` if
+        absent."""
         out = []
         for key, kind, default in spec:
             value = fields.pop(key, None)

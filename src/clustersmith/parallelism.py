@@ -67,8 +67,6 @@ class ParallelLevel:
                               if k > 1)
             if repeated:
                 raise ValidationError(f"repeated participants {repeated}")
-            if self.strategy not in _SERVER_KINDS and self.server is not None:
-                raise ValidationError(f"{self.strategy.value} takes no server")
             if self.server in self.participants:
                 raise ValidationError(
                     f"server {self.server!r} is also a participant")

@@ -8,7 +8,7 @@ GPU-direct RDMA, another PCIe switch) is a changed topology file.
 
 File format (UTF-8, in the line format of `clustersmith.lineformat`)::
 
-    node <id> kind=<Kind> [socket=<int>] [key=value ...]
+    node <id> kind=<Kind> [socket=<int>]
     link <idA> <idB> kind=<Kind> bw=<GB/s> [lat=<us>] [lanes=<n>] [b=<us>]
     flag gdr=<true|false>
 
@@ -57,13 +57,13 @@ _MAX = sys.float_info.max  # the largest finite float
 
 # Records built by the hundred are light: namedtuples that check their
 # fields in `__new__`.  `_make` and `_replace` skip the check; none is called.
-class Node(namedtuple("Node", "id kind socket_index labels")):
+class Node(namedtuple("Node", "id kind socket_index")):
     __slots__ = ()
 
-    def __new__(cls, id, kind, socket_index=None, labels=()):
+    def __new__(cls, id, kind, socket_index=None):
         if not isinstance(kind, NodeKind):
             raise ValidationError(f"unknown node kind {kind!r}")
-        return tuple.__new__(cls, (id, kind, socket_index, labels))
+        return tuple.__new__(cls, (id, kind, socket_index))
 
 
 class Link(namedtuple("Link", "endpoint_a endpoint_b kind bandwidth latency "
@@ -179,7 +179,8 @@ def load_topology(text: str) -> TopologyGraph:
                     raise line.error("node missing kind=")
                 kind = line.enum(kv, "kind", _NODE_KINDS, "node kind")
                 socket, = line.numbers(kv, (("socket", int, None),))
-                nodes.append(Node(tokens[1], kind, socket, tuple(kv.items())))
+                nodes.append(Node(tokens[1], kind, socket))
+                line.no_more(kv, "node")
             elif head == "flag":
                 kv = line.fields(1)
                 gdr = _bool(line, kv, "gdr", gdr)
@@ -221,7 +222,6 @@ def export_topo(g: TopologyGraph) -> str:
         parts = [f"node {n.id} kind={n.kind.value}"]
         if n.socket_index is not None:
             parts.append(f"socket={n.socket_index}")
-        parts.extend(f"{k}={v}" for k, v in n.labels)
         lines.append(" ".join(parts))
     for l in g.links:
         parts = [f"link {l.endpoint_a} {l.endpoint_b} kind={l.kind.value}",

@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from clustersmith.cli import main
 from clustersmith.commcost import ResolvedPath
 from clustersmith.errors import ValidationError
 from clustersmith.parallelism import TimeMatrix, comm_time, total
@@ -20,6 +21,26 @@ from clustersmith.topology import (
     load_preset,
     load_topology,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_color(monkeypatch):
+    monkeypatch.setenv("CLUSTERSMITH_NO_COLOR", "1")
+
+
+def run(capsys, *argv):
+    """`main(argv)`'s exit code, stdout and stderr."""
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def write(tmp_path, **files):
+    """Write each named file's text into the directory `tmp_path`; their
+    paths, as strings, in the same order."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in files]
 
 
 @pytest.fixture
@@ -140,14 +161,13 @@ def random_graph(rng: random.Random, max_nodes: int = 8,
     link_kinds = list(LinkKind)
     nodes = []
     for i in range(n):
-        labels = ()
         if rng.random() < 0.3:
-            labels = (("rack", str(rng.randint(0, 3))),)
+            rng.randint(0, 3)  # the label nodes once had: drawn and dropped,
+                               # so that every later draw is unchanged
         nodes.append(Node(
             id=f"n{i}",
             kind=rng.choice(kinds),
             socket_index=rng.randint(0, 1) if rng.random() < 0.3 else None,
-            labels=labels,
         ))
     links = []
 
@@ -376,6 +396,12 @@ def widest_state_bottlenecks(g: TopologyGraph, src: str) -> dict:
                            and (NodeKind.NIC in kinds or NodeKind.DPU in kinds))
             out[n.id] = passes[not constrained].get((n.id, True), 0.0)
     return out
+
+
+def finish_times(result) -> dict:
+    """Each flow's completion time, from the finish events of a
+    `contention.simulate` result, in finish order."""
+    return {e.flow_id: e.time_s for e in result.events if e.event == "finish"}
 
 
 def time_stepped_sim(flows, sw, dt: float = 1e-6):

@@ -21,7 +21,8 @@ from clustersmith.pricing import coverage_table_cells
 from clustersmith.topology import (Link, LinkKind, NodeKind, PRESET_NAMES,
                                    export_topo, load_preset, load_topology)
 
-from conftest import expanded_rows, random_graph, time_stepped_sim
+from conftest import (expanded_rows, finish_times, random_graph,
+                      time_stepped_sim)
 
 GDR_FIXTURE = """
 node gpu kind=Gpu
@@ -84,7 +85,7 @@ def test_acceptance_3_contention_oracle():
         result = simulate(flows, sw)
         oracle, _ = time_stepped_sim(flows, sw)
         for flow in flows:
-            assert result.completions[flow.id] == pytest.approx(
+            assert finish_times(result)[flow.id] == pytest.approx(
                 oracle[flow.id], rel=1e-3)
         # work conservation: integrate allocated bandwidth over the event log
         moved = 0.0

@@ -19,14 +19,9 @@ from clustersmith import gnn, parallelism, topology
 from clustersmith.cli import load_levels, main
 from clustersmith.commcost import RoutingIndex
 
-from conftest import dual_socket_text
+from conftest import dual_socket_text, run, write
 
 PRESETS = resources.files("clustersmith.presets")
-
-
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.setenv("CLUSTERSMITH_NO_COLOR", "1")
 
 
 @pytest.fixture
@@ -34,12 +29,6 @@ def nvlink4_path(tmp_path):
     p = tmp_path / "nvlink4.topo"
     p.write_text(PRESETS.joinpath("nvlink4.topo").read_text())
     return str(p)
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def test_topo_validate_preset(capsys, nvlink4_path):
@@ -728,6 +717,22 @@ def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
     assert message in err
 
 
+# the keys each strategy reads besides strategy= and participants=
+READS = {"ring_allreduce": ("payload",),
+         "parameter_server": ("payload", "server"),
+         "in_network_aggregation": ("payload", "server", "window", "pkt", "rtt"),
+         "pipeline_p2p": ("payload", "microbatches", "activation")}
+# a valid level of each strategy on the dual-socket preset, and a valid
+# value of each level key
+LEVEL_OF = {"ring_allreduce": "participants=gpu0,gpu1 payload=1e9",
+            "parameter_server": "participants=gpu0,gpu1 payload=1e9 server=nic0",
+            "in_network_aggregation":
+                "participants=gpu0,gpu1 payload=1e9 server=net0",
+            "pipeline_p2p": "participants=gpu0,gpu1 payload=1e9"}
+VALUES = {"payload": "1e9", "server": "nic0", "window": "8", "pkt": "1100",
+          "rtt": "10", "microbatches": "4", "activation": "1e8"}
+
+
 @pytest.mark.parametrize("fields,message", [
     ("participants=gpu0,gpu1 payload=nan", "payload_bytes must be finite"),
     ("participants=gpu0,gpu1 payload=inf", "payload_bytes must be finite"),
@@ -749,9 +754,13 @@ def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
                          ("microbatches", "microbatches"))),
 ])
 def test_bad_level_exit_2(capsys, tmp_path, nvlink4_path, fields, message):
+    # on the first strategy that reads every key of the case: its number
+    # rule breaks before any server is looked for
+    keys = {token.partition("=")[0] for token in fields.split()} - {"participants"}
+    strategy = next(s for s, reads in READS.items() if keys <= set(reads))
+    line = f"level r strategy={strategy} {fields}\n"
     levels = tmp_path / "levels.txt"
-    levels.write_text(LEVELS.strip() + "\nlevel r strategy=ring_allreduce "
-                      + fields + "\n")
+    levels.write_text(LEVELS.strip() + "\n" + line)
     code, out, err = run(capsys, "plan", "--topo", nvlink4_path,
                          "--levels", str(levels))
     assert code == 2 and out == ""
@@ -759,7 +768,7 @@ def test_bad_level_exit_2(capsys, tmp_path, nvlink4_path, fields, message):
     model = tmp_path / "model.txt"
     model.write_text(gnn.save_model(gnn.init_model(seed=0)))
     level = tmp_path / "level.txt"
-    level.write_text("level r strategy=ring_allreduce " + fields + "\n")
+    level.write_text(line)
     code, out, err = run(capsys, "gnn", "predict", "--model", str(model),
                          "--topo", nvlink4_path, "--level", str(level))
     assert code == 2 and message in err
@@ -818,10 +827,6 @@ def test_price_arguments_fuzzed_exit_0_or_2(data, action):
      "server 'nic0' is also a participant"),
     ("strategy=in_network_aggregation participants=gpu0,gpu1 server=gpu1",
      "server 'gpu1' is also a participant"),
-    ("strategy=ring_allreduce participants=gpu0,gpu1 server=nic0",
-     "ring_allreduce takes no server"),
-    ("strategy=pipeline_p2p participants=gpu0,gpu1 server=nic0",
-     "pipeline_p2p takes no server"),
 ])
 def test_bad_server_exit_2(capsys, tmp_path, fields, message):
     topo = tmp_path / "dual.topo"
@@ -833,6 +838,31 @@ def test_bad_server_exit_2(capsys, tmp_path, fields, message):
                          "--levels", str(levels))
     assert code == 2 and out == ""
     assert err == f"error: line 6, col 1: level 'x': {message}\n"
+
+
+@pytest.mark.parametrize("key", VALUES)
+@pytest.mark.parametrize("strategy", READS)
+def test_a_level_takes_only_the_keys_its_strategy_reads(capsys, tmp_path,
+                                                        strategy, key):
+    fields = dict(token.split("=") for token in LEVEL_OF[strategy].split())
+    value = fields.pop(key, VALUES[key])
+    line = (f"level x strategy={strategy} "
+            + "".join(f"{k}={v} " for k, v in fields.items()) + f"{key}={value}")
+    topo, levels, model = write(tmp_path, **{
+        "dual.topo": PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text(),
+        "levels.txt": line + "\n",
+        "model.txt": gnn.save_model(gnn.init_model(seed=0))})
+    predict = ["gnn", "predict", "--model", model, "--topo", topo,
+               "--level", levels]
+    got = [run(capsys, "plan", "--topo", topo, "--levels", levels),
+           run(capsys, *predict), run(capsys, *predict, "--compare")]
+    if key in READS[strategy]:
+        assert [code for code, _, _ in got] == [0, 0, 0]
+        assert got[0][1].startswith(f"selected x ({strategy}, n=2): ")
+    else:
+        error = (f"error: line 1, col {line.index(f' {key}=') + 2}: "
+                 f"unknown {strategy} level key {key!r}\n")
+        assert got == [(2, "", error)] * 3
 
 
 @pytest.mark.parametrize("fields,key,message", [

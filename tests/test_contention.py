@@ -14,14 +14,14 @@ from clustersmith.contention import (
 )
 from clustersmith.errors import ValidationError
 
-from conftest import fair_share_oracle, time_stepped_sim
+from conftest import fair_share_oracle, finish_times, time_stepped_sim
 
 SW16 = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=16.0)
 
 
 def test_single_flow():
     res = simulate([Flow(id="f0", bytes=10e9)], SW16)
-    assert res.completions["f0"] == pytest.approx(0.625)
+    assert finish_times(res)["f0"] == pytest.approx(0.625)
     assert res.makespan == pytest.approx(0.625)
     assert res.peak_concurrency == 1
 
@@ -29,8 +29,8 @@ def test_single_flow():
 def test_two_simultaneous_flows_share_fairly():
     flows = [Flow(id="f0", bytes=10e9), Flow(id="f1", bytes=10e9)]
     res = simulate(flows, SW16)
-    assert res.completions["f0"] == pytest.approx(1.25)
-    assert res.completions["f1"] == pytest.approx(1.25)
+    assert finish_times(res)["f0"] == pytest.approx(1.25)
+    assert finish_times(res)["f1"] == pytest.approx(1.25)
     assert res.peak_concurrency == 2
 
 
@@ -38,28 +38,28 @@ def test_offset_staggering_example():
     flows = [Flow(id="f0", bytes=10e9),
              Flow(id="f1", bytes=10e9, offset=0.625)]
     res = simulate(flows, SW16)
-    assert res.completions["f0"] == pytest.approx(0.625)
-    assert res.completions["f1"] == pytest.approx(1.25)
+    assert finish_times(res)["f0"] == pytest.approx(0.625)
+    assert finish_times(res)["f1"] == pytest.approx(1.25)
     assert res.mean_completion == pytest.approx(0.9375)
     assert res.peak_concurrency == 1
 
 
 def test_empty_flow_list():
     res = simulate([], SW16)
-    assert res == SimResult(completions={}, makespan=0.0, mean_completion=0.0,
+    assert res == SimResult(makespan=0.0, mean_completion=0.0,
                             peak_concurrency=0, events=())
 
 
 def test_per_flow_cap_limits_solo_rate():
     sw = SwitchModel(upstream_bandwidth=16.0, per_flow_cap=4.0)
     res = simulate([Flow(id="f0", bytes=8e9)], sw)
-    assert res.completions["f0"] == pytest.approx(2.0)
+    assert finish_times(res)["f0"] == pytest.approx(2.0)
 
 
 def test_release_delays_start():
     flows = [Flow(id="late", bytes=16e9, release=2.0)]
     res = simulate(flows, SW16)
-    assert res.completions["late"] == pytest.approx(3.0)
+    assert finish_times(res)["late"] == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_matches_time_stepped_integrator():
         fluid = simulate(flows, sw)
         stepped, peak = time_stepped_sim(flows, sw)
         for fid, t in stepped.items():
-            assert fluid.completions[fid] == pytest.approx(t, rel=1e-3)
+            assert finish_times(fluid)[fid] == pytest.approx(t, rel=1e-3)
         assert fluid.peak_concurrency == peak
 
 
@@ -217,7 +217,7 @@ def test_repro_staggered_release_terminates():
     _check_run(flows, res)
     exact = fair_share_oracle(flows, SW16)
     for fid, t in exact.items():
-        assert res.completions[fid] == pytest.approx(float(t), rel=1e-12)
+        assert finish_times(res)[fid] == pytest.approx(float(t), rel=1e-12)
 
 
 def test_repro_many_sizes_at_once_terminates():
@@ -258,7 +258,7 @@ def test_start_one_ulp_before_a_finish_keeps_time_order():
         flows = [Flow(id=f"f{i}", bytes=2.0 ** rng.uniform(20, 30),
                       release=rng.choice([0.0, rng.uniform(0, 1e-2)]))
                  for i in range(rng.randint(2, 12))]
-        finish = rng.choice(list(simulate(flows, sw).completions.values()))
+        finish = rng.choice(list(finish_times(simulate(flows, sw)).values()))
         flows.append(Flow(id="x", bytes=2.0 ** rng.uniform(20, 30),
                           release=math.nextafter(finish, 0)))
         _check_run(flows, simulate(flows, sw))
@@ -279,9 +279,9 @@ def test_matches_exact_fair_share_with_ties():
             flows = with_offsets(flows, optimize_stagger(flows, sw))
         res = simulate(flows, sw)
         exact = fair_share_oracle(flows, sw)
-        assert res.completions.keys() == exact.keys()
+        assert finish_times(res).keys() == exact.keys()
         for fid, t in exact.items():
-            assert res.completions[fid] == pytest.approx(float(t), rel=1e-12)
+            assert finish_times(res)[fid] == pytest.approx(float(t), rel=1e-12)
 
 
 def test_mean_is_the_correctly_rounded_sum():
@@ -291,7 +291,7 @@ def test_mean_is_the_correctly_rounded_sum():
              for i, b in enumerate((1194044, 9049116, 75964567, 1180028))]
     res = simulate(flows, SwitchModel(upstream_bandwidth=16.298, per_flow_cap=6.473))
     left_to_right = 0.0
-    for t in res.completions.values():
+    for t in finish_times(res).values():
         left_to_right += t
     assert left_to_right / 4 == 0.003482711020561788
     assert res.mean_completion == 0.0034827110205617883

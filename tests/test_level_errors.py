@@ -7,10 +7,12 @@ the first line at fault is the one named, and `gnn predict` rejects what
 import pytest
 
 from clustersmith import gnn
-from clustersmith.cli import load_levels, main
+from clustersmith.cli import load_levels
 from clustersmith.errors import ParseError, ValidationError
 from clustersmith.parallelism import ParallelLevel, Strategy, comm_time
 from clustersmith.topology import load_topology
+
+from conftest import run, write
 
 # c is declared but joined to nothing
 SPLIT = """\
@@ -31,23 +33,6 @@ SLOW = "node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=NvLink bw=1e-300\n"
 HUGE = "level r strategy=ring_allreduce participants=a,b payload=1e308\n"
 NOT_FINITE = ("error: line 1, col 1: level 'r': time is not a finite number "
               "of seconds\n")
-
-
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.setenv("CLUSTERSMITH_NO_COLOR", "1")
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def write(tmp_path, **files):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    return [str(tmp_path / name) for name in files]
 
 
 def test_routing_error_names_the_level_at_its_participants():

@@ -1,21 +1,26 @@
 """Every level message, pinned: each level line of four levels files is
 broken in a fixed, seeded set of single-fault ways, and a SHA-256 over
-`plan`'s exit code and stderr for each is compared with the one recorded
-before levels were priced at their lines.  The faults span every kind of
-level error: the line format, a `ParallelLevel` rule, an unknown node, a
+`plan`'s exit code and stderr for each is compared with a recorded one.
+The faults span every kind of level error: the line format, a key the
+level's strategy does not read, a `ParallelLevel` rule, an unknown node, a
 server of the wrong kind, a pair with no route, and a time that is not
 finite.  Any change of a message, a line or a column shows.  `gnn
 predict`, with and without `--compare`, rejects each faulty level with
 `plan`'s message."""
 
+import contextlib
 import hashlib
+import io
 import random
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 from clustersmith import gnn
 from clustersmith.cli import main
 from clustersmith.topology import load_topology
+
+from conftest import run, write
 
 DATA = Path(__file__).parent / "data"
 PRESETS = resources.files("clustersmith.presets")
@@ -137,8 +142,8 @@ def unknown_strategy(tokens, rng, g):
 
 
 def other_strategy(tokens, rng, g):
-    """Another strategy with the same fields: a server where none is
-    taken, none where one is needed, or one of the wrong kind."""
+    """Another strategy with the same fields: a key it does not read, no
+    server where one is needed, or one of the wrong kind."""
     others = [s for s in STRATEGIES if s != value(tokens, "strategy")]
     return set_key(tokens, "strategy", rng.choice(others))
 
@@ -239,43 +244,43 @@ def cases():
                        "\n".join(broken), "\n".join(alone))
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
+def message_records():
+    """`(case, outcome)` for each of `cases()`, in order: the outcome is
+    `plan`'s exit code and stderr, as `<code> <stderr>`."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, topo, levels, _ in cases():
+            topo, levels = write(Path(d), **{"t.topo": topo, "l.txt": levels})
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                code = main(["plan", "--topo", topo, "--levels", levels])
+            yield name, f"{code} {err.getvalue()}"
 
 
-def write(tmp_path, **files):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    return [str(tmp_path / name) for name in files]
-
-
-# a part of a message of each kind of level error
-KINDS = ("not a number", "unknown level key", "must be finite",
-         "repeated participants", "takes no server", "is also a participant",
+# a part of a message of each kind of level error, among them an unknown
+# key and a key that the level's strategy does not read
+KINDS = ("not a number", "level key 'zz'", "must be finite",
+         "repeated participants", "level key 'server'", "is also a participant",
          "needs at least one participant", "unknown node",
          "needs a server= node", "expected one of", "no route from",
          "time is not a finite number")
-# Recorded with the parser that checked every level of a file before it
-# priced any.
-MESSAGES_SHA256 = "d806b9055a62888c32ae6b97251edec23b494d45629a1f52f20b98d6f667d4aa"
+# Recorded when each strategy came to read only its own level keys.
+MESSAGES_SHA256 = "103c27c7e4d643f2e32274117f8d64d85b7dc4ea8ef47edbe862f77d3bbcdba3"
 
 
-def test_level_messages_match_recorded_digest(capsys, tmp_path):
+def test_level_messages_match_recorded_digest():
     digest = hashlib.sha256()
     count = accepted = 0
     kinds = set()
-    for name, topo, levels, _ in cases():
-        topo, levels = write(tmp_path, **{"t.topo": topo, "l.txt": levels})
-        code, _, err = run(capsys, "plan", "--topo", topo, "--levels", levels)
-        assert code in (0, 2) and (code == 0) == (err == ""), (name, err)
-        digest.update(f"{name}: {code} {err}".encode())
+    for case, outcome in message_records():
+        code, err = outcome.split(" ", 1)
+        assert code in ("0", "2") and (code == "0") == (err == ""), (case, err)
+        digest.update(f"{case}: {outcome}".encode())
         count += 1
-        accepted += code == 0
+        accepted += code == "0"
         kinds.update(k for k in KINDS if k in err)
     assert kinds == set(KINDS)
-    assert (count, accepted) == (400, 48)
+    assert (count, accepted) == (400, 34)
     assert digest.hexdigest() == MESSAGES_SHA256
 
 

@@ -121,9 +121,10 @@ def test_comment_breaks_move_no_line_number(tmp_path, inputs, brk):
     ("topo", "node a kind=Gpu\nnode b kind=Gpu\nlink a b kind=NvLink bw=nan",
      "line 3, col 1: link a-b: bw must be finite and > 0, got nan"),
     ("levels", LEVEL + "payload=abc", "line 1, col 50: payload: not a number: 'abc'"),
-    ("levels", LEVEL + "payload=1 microbatches=2.5",
-     "line 1, col 60: microbatches: not an integer: '2.5'"),
-    ("levels", LEVEL + "payload=1e9 window=x", "line 1, col 62: window: not an integer: 'x'"),
+    ("levels", "level r strategy=pipeline_p2p participants=a,b payload=1 "
+     "microbatches=2.5", "line 1, col 58: microbatches: not an integer: '2.5'"),
+    ("levels", "level r strategy=in_network_aggregation participants=a,b "
+     "payload=1e9 window=x", "line 1, col 70: window: not an integer: 'x'"),
     ("levels", LEVEL + "payload=1 payload=2", "line 1, col 60: repeated key 'payload'"),
     ("flows", "flow f bytes=1e9 speed=3", "line 1, col 18: unknown flow key 'speed'"),
     ("flows", "flow f bytes=1e9 bytes=2e9", "line 1, col 18: repeated key 'bytes'"),

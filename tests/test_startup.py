@@ -44,11 +44,6 @@ print(json.dumps(results))
 """
 
 
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.setenv("CLUSTERSMITH_NO_COLOR", "1")
-
-
 @pytest.fixture
 def inputs(tmp_path):
     (tmp_path / "dual.topo").write_text(

@@ -159,9 +159,10 @@ def test_parse_error_reports_position():
         load_topology("node a kind=Gpu\nnode b notakv")
 
 
-def test_node_labels_are_free_form():
-    g = load_topology("node a kind=Gpu vendor=nvidia vram=80G")
-    assert g.nodes[0].labels == (("vendor", "nvidia"), ("vram", "80G"))
+def test_an_unknown_node_key_is_an_error_at_its_token():
+    with pytest.raises(ParseError) as info:
+        load_topology("node a kind=Gpu socket=0\nnode b kind=Gpu  sockt=0 x=1")
+    assert str(info.value) == "line 2, col 18: unknown node key 'sockt'"
 
 
 def test_adjacency_single_node():
