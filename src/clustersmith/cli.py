@@ -81,18 +81,6 @@ def _is_stdout(fd: int) -> bool:
 # ---------------------------------------------------------------------------
 # Input-file parsers, in the line format of `clustersmith.lineformat`
 
-_STRATEGIES = {s.value: s for s in parallelism.Strategy}
-# the keys each strategy reads besides strategy= and participants=, as
-# (key, type, ParallelLevel field) in the order their values are read; any
-# other key is an error, and an absent one keeps the field's default
-_PAYLOAD, _SERVER = ("payload", float, "payload_bytes"), ("server", str, "server")
-_LEVEL_KEYS = {
-    "ring_allreduce": (_PAYLOAD,), "parameter_server": (_PAYLOAD, _SERVER),
-    "in_network_aggregation": (("window", int, "window_packets"),
-                               ("pkt", int, "packet_bytes"),
-                               ("rtt", float, "rtt_us"), _PAYLOAD, _SERVER),
-    "pipeline_p2p": (("microbatches", int, "microbatches"),
-                     ("activation", float, "activation_bytes"), _PAYLOAD)}
 _FLOW_NUMBERS = (("bytes", float, None), ("release", float, 0.0),
                  ("offset", float, 0.0))
 
@@ -112,21 +100,21 @@ def load_levels(text: str,
         kv = line.fields(2)
         if not {"strategy", "participants", "payload"} <= kv.keys():
             raise line.error("level needs strategy=, participants= and payload=")
-        strategy = line.enum(kv, "strategy", _STRATEGIES, "strategy")
-        spec = _LEVEL_KEYS[strategy.value]
-        values = line.numbers(kv, [(key, kind, None) for key, kind, _ in spec])
-        kwargs = {attr: v for (*_, attr), v in zip(spec, values) if v is not None}
+        cls = line.enum(kv, "strategy", parallelism.STRATEGIES, "strategy")
+        # any key but these is an error; an absent one keeps its default
+        values = line.numbers(kv, [(key, kind, None)
+                                   for key, kind, _ in cls.keys])
+        kwargs = {field: v for (*_, field), v in zip(cls.keys, values)
+                  if v is not None}
         names = kv.pop("participants").split(",")
         participants = tuple(p for p in names if p)
         # no name at all is a level without participants, which pricing rejects
         if participants and len(participants) < len(names):
             raise line.error(f"level {tokens[1]!r}: empty participant name",
                              "participants")
-        line.no_more(kv, f"{strategy.value} level")
+        line.no_more(kv, f"{cls.strategy} level")
         try:
-            level = parallelism.ParallelLevel(
-                name=tokens[1], strategy=strategy, participants=participants,
-                **kwargs)
+            level = cls(tokens[1], participants, **kwargs)
             priced = parallelism.comm_time(level, g)
             totals.append(parallelism.total(priced, level.name))
         except ValidationError as exc:  # at the field's token, else the line's
@@ -182,7 +170,7 @@ def cmd_plan(args) -> int:
     if not matrix.levels:
         raise ParseError("no levels in levels file", 1, 1)
     winner, total = matrix.winner()
-    print(f"selected {winner.name} ({winner.strategy.value}, n={winner.n}): "
+    print(f"selected {winner.name} ({winner.strategy}, n={winner.n}): "
           f"{total!r} s total")
     if args.matrix:
         _write_out(matrix.csv_chunks(), args.matrix)

@@ -2,9 +2,10 @@
 
 Timing law (`path_time`, Hockney's latency-bandwidth model): a transfer
 takes ``(latency + b) us + bytes / rate``, latency and fixed overhead ``b``
-summed over its links, at the bottleneck or a contended rate.  `link_time`
-scales one link's rate by a lane fraction, so halving the lanes yields
-``2a + b`` (``a = bytes / bw``); no command prices a lane fraction.
+summed over its links, at the bottleneck or a contended rate.  So a link
+at half the bandwidth takes ``2a + c`` where it took ``a + c`` (``a =
+bytes / bw``, ``c`` its latency and overhead): less than twice as long
+whenever ``c > 0``.
 
 Routing is widest-path (maximum bottleneck bandwidth), ties broken by
 fewer hops then by lexicographically smallest node-id sequence.  With
@@ -29,12 +30,10 @@ import math
 from collections import namedtuple
 
 from .errors import ValidationError
-from .topology import Link, NodeKind, TopologyGraph
+from .topology import NodeKind, TopologyGraph
 
 GB = 1e9  # bytes
 US = 1e-6  # seconds
-
-ALLOWED_FRACTIONS = (1.0, 0.5, 0.25)
 
 
 class ResolvedPath(namedtuple("ResolvedPath", "nodes links bottleneck_bandwidth "
@@ -42,21 +41,6 @@ class ResolvedPath(namedtuple("ResolvedPath", "nodes links bottleneck_bandwidth 
     """A routed walk: bottleneck in GB/s, latency and b in microseconds."""
 
     __slots__ = ()
-
-    @property
-    def hops(self) -> int:
-        return len(self.links)
-
-
-def link_time(nbytes: float, link: Link, lane_fraction: float = 1.0) -> float:
-    """Seconds to move nbytes across one link at a given lane fraction:
-    `path_time` of the one-link path at its rate scaled by the fraction."""
-    if lane_fraction not in ALLOWED_FRACTIONS:
-        raise ValidationError(f"lane_fraction must be one of "
-                              f"{ALLOWED_FRACTIONS}, got {lane_fraction}")
-    path = ResolvedPath((link.endpoint_a, link.endpoint_b), (link,),
-                        link.bandwidth, link.latency, link.extra_overhead_b)
-    return path_time(nbytes, path, link.bandwidth * GB * lane_fraction)
 
 
 def path_time(nbytes: float, path: ResolvedPath,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lineformat
 from .errors import ParseError, ValidationError, check_number
-from .parallelism import ParallelLevel, Strategy, comm_time, total
+from .parallelism import Level, RingAllreduce, comm_time, total
 from .topology import Link, LinkKind, Node, NodeKind, TopologyGraph, build_graph
 
 KIND_ORDER = tuple(NodeKind)
@@ -28,7 +28,7 @@ SPLIT = 0.8  # share of the samples trained on; the rest validate
 FORMAT_VERSION = "clustersmith-gnn v1"
 
 
-def graph_inputs(g: TopologyGraph, level: ParallelLevel):
+def graph_inputs(g: TopologyGraph, level: Level):
     """(A_hat, H) of one (graph, level) instance, from the graph's links.
 
     A_hat is the renormalized adjacency with self-loops, D^{-1/2} (A + I)
@@ -231,7 +231,7 @@ def batch_gradients(model: GnnModel, batch: GraphBatch,
 
 
 def predict_seconds(model: GnnModel, g: TopologyGraph,
-                    level: ParallelLevel) -> float:
+                    level: Level) -> float:
     z = forward(model, *graph_inputs(g, level))
     return float(np.exp(z * model.label_sigma + model.label_mu))
 
@@ -243,7 +243,7 @@ def predict_seconds(model: GnnModel, g: TopologyGraph,
 @dataclass(frozen=True)
 class Sample:
     graph: TopologyGraph
-    level: ParallelLevel
+    level: Level
     label_seconds: float
 
 
@@ -281,9 +281,8 @@ def _random_instance(rng: random.Random):
                           kind=LinkKind.PCIE, bandwidth=bw()))
     g = build_graph(nodes, links)
     payload = 10.0 ** rng.uniform(7.0, 10.0)
-    level = ParallelLevel(name="ring", strategy=Strategy.RING_ALLREDUCE,
-                          participants=tuple(f"gpu{i}" for i in range(n_gpu)),
-                          payload_bytes=payload)
+    level = RingAllreduce(name="ring", participants=tuple(
+        f"gpu{i}" for i in range(n_gpu)), payload_bytes=payload)
     return g, level
 
 

@@ -98,7 +98,8 @@ class Line:
         return out
 
     def enum(self, fields: dict, key: str, members: dict, what: str):
-        """Pop `key` from `fields` as the Enum member `members` maps it to."""
+        """Pop `key` from `fields` as the value `members` maps it to: a
+        kind's Enum member, or a strategy's level record class."""
         value = fields.pop(key)
         if value not in members:
             raise self.error(f"unknown {what} {value!r}", key)

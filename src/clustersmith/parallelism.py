@@ -1,10 +1,11 @@
 """Per-parallel-level traffic, communication times, and the time matrix.
 
-Each parallelism strategy expands into a schedule of synchronous phases;
-a phase is a set of point-to-point transfers.  Phase k+1 starts when every
-phase-k transfer has finished, so a level's communication time is the sum of
-per-phase times.  Within a phase, transfers sharing a link (same direction on
-duplex links) split its bandwidth equally.
+A level is a record of its strategy's class, whose `runs()` expand it into
+a schedule of synchronous phases, each a set of point-to-point transfers.
+Phase k+1 starts when every phase-k transfer has finished, so a level's
+communication time is the sum of per-phase times.  Within a phase,
+transfers sharing a link (same direction on duplex links) split its
+bandwidth equally.
 
 A schedule is a tuple of runs `(phase, count)`: `count` copies of one phase
 back to back.  Each run's phase is routed and priced once, and a level's
@@ -18,95 +19,135 @@ import csv
 import io
 import itertools
 import json
+import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .commcost import GB, US, path_time, resolve_path
 from .errors import ValidationError, check_number
 from .topology import NodeKind, TopologyGraph
 
-
-class Strategy(str, Enum):
-    RING_ALLREDUCE = "ring_allreduce"
-    PARAMETER_SERVER = "parameter_server"
-    IN_NETWORK_AGGREGATION = "in_network_aggregation"
-    PIPELINE_P2P = "pipeline_p2p"
+_MAY_BE_ZERO = ("payload_bytes", "activation_bytes")  # other numbers are > 0
 
 
-# node kinds allowed to act as the aggregation point, per strategy
-_SERVER_KINDS = {
-    Strategy.PARAMETER_SERVER: (NodeKind.NIC, NodeKind.DPU, NodeKind.CPU_SOCKET),
-    Strategy.IN_NETWORK_AGGREGATION: (NodeKind.NETWORK_SWITCH,),
-}
+class Level:
+    """What every level record shares.  A record is a namedtuple of the
+    fields its strategy reads, checked in `__new__`, so a field it does not
+    read cannot be stated; `_make` and `_replace` skip the check, and none
+    is called.  Each record also declares its `strategy` name, its line
+    `keys` as `(key, type, field)` in the order their values are read, and
+    its `runs()`."""
 
+    __slots__ = ()
+    server_kinds = ()  # node kinds that may act as its server; () takes none
+    window_cap = math.inf  # bound on a worker's throughput, bytes/s
 
-@dataclass(frozen=True)
-class ParallelLevel:
-    name: str
-    strategy: Strategy
-    participants: tuple[str, ...]
-    payload_bytes: float
-    server: str | None = None
-    # in-network aggregation window bound
-    window_packets: int = 4
-    packet_bytes: int = 1100
-    rtt_us: float = 10.0
-    # pipeline parameters
-    microbatches: int = 1
-    activation_bytes: float = 0.0
-
-    def __post_init__(self):
-        try:
-            for key in ("payload_bytes", "activation_bytes"):
-                check_number(key, getattr(self, key))
-            for key in ("window_packets", "packet_bytes", "rtt_us",
-                        "microbatches"):
-                check_number(key, getattr(self, key), positive=True)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        try:  # each number field in field order, then the participants
+            for key, value in zip(self._fields[2:], self[2:]):
+                if key != "server":
+                    check_number(key, value, positive=key not in _MAY_BE_ZERO)
             repeated = sorted(p for p, k in Counter(self.participants).items()
                               if k > 1)
             if repeated:
                 raise ValidationError(f"repeated participants {repeated}")
-            if self.server in self.participants:
+            if getattr(self, "server", None) in self.participants:
                 raise ValidationError(
                     f"server {self.server!r} is also a participant")
         except ValidationError as exc:
             raise ValidationError(f"level {self.name!r}: {exc}") from None
+        return self
 
     @property
     def n(self) -> int:
         return len(self.participants)
 
 
+_PAYLOAD, _SERVER = ("payload", float, "payload_bytes"), ("server", str, "server")
 Transfer = namedtuple("Transfer", "src dst bytes")
 
 
-def traffic_for_level(
-        level: ParallelLevel) -> tuple[tuple[tuple[Transfer, ...], int], ...]:
-    """Expand a level into runs `(phase, count)`, each phase a tuple of
-    transfers repeated `count` times; `comm_time` checks the level first."""
-    n = level.n
-    if n < 2:
-        return ()
-    p = level.participants
-    m = level.payload_bytes
-    if level.strategy == Strategy.RING_ALLREDUCE:
-        chunk = m / n
-        phase = tuple(Transfer(p[i], p[(i + 1) % n], chunk) for i in range(n))
-        return ((phase, 2 * (n - 1)),)
-    if level.strategy in _SERVER_KINDS:
-        up = tuple(Transfer(w, level.server, m) for w in p)
-        down = tuple(Transfer(level.server, w, m) for w in p)
-        return (up, 1), (down, 1)
-    if level.strategy == Strategy.PIPELINE_P2P:
-        phase = tuple(
-            Transfer(p[i], p[i + 1], level.activation_bytes) for i in range(n - 1)
-        )
-        return ((phase, level.microbatches),)
-    raise ValueError(f"unknown strategy {level.strategy!r}")
+class RingAllreduce(Level, namedtuple("RingAllreduce",
+                                      "name participants payload_bytes")):
+    """Each participant sends a 1/n chunk to the next, 2(n - 1) times."""
+
+    __slots__ = ()
+    strategy = "ring_allreduce"
+    keys = (_PAYLOAD,)
+
+    def runs(self):
+        """`(phase, count)` runs: each phase a tuple of transfers repeated
+        `count` times; none for fewer than two participants."""
+        n, p = self.n, self.participants
+        phase = tuple(Transfer(p[i], p[(i + 1) % n], self.payload_bytes / n)
+                      for i in range(n))
+        return ((phase, 2 * (n - 1)),) if n > 1 else ()
 
 
-def _check_level(level: ParallelLevel, g: TopologyGraph) -> None:
+class ParameterServer(Level, namedtuple(
+        "ParameterServer", "name participants payload_bytes server",
+        defaults=(None,))):
+    """Every worker sends its payload to the server, which sends it back."""
+
+    __slots__ = ()
+    strategy = "parameter_server"
+    keys = (_PAYLOAD, _SERVER)
+    server_kinds = (NodeKind.NIC, NodeKind.DPU, NodeKind.CPU_SOCKET)
+
+    def runs(self):
+        """An up phase and a down phase, once each."""
+        s, m, p = self.server, self.payload_bytes, self.participants
+        return ((tuple(Transfer(w, s, m) for w in p), 1),
+                (tuple(Transfer(s, w, m) for w in p), 1)) if self.n > 1 else ()
+
+
+class InNetworkAggregation(Level, namedtuple(
+        "InNetworkAggregation", "name participants payload_bytes server "
+        "window_packets packet_bytes rtt_us", defaults=(None, 4, 1100, 10.0))):
+    """A parameter server on a network switch, each worker's throughput
+    bounded by its window of outstanding packets."""
+
+    __slots__ = ()
+    strategy = "in_network_aggregation"
+    keys = (("window", int, "window_packets"), ("pkt", int, "packet_bytes"),
+            ("rtt", float, "rtt_us"), _PAYLOAD, _SERVER)
+    server_kinds = (NodeKind.NETWORK_SWITCH,)
+    runs = ParameterServer.runs
+
+    @property
+    def window_cap(self) -> float:
+        """A window of packets per round trip, in bytes/s."""
+        # a float product: two large int fields give inf, not an OverflowError
+        window = float(self.window_packets) * self.packet_bytes
+        rtt_s = self.rtt_us * US  # 0.0 for a subnormal rtt: then no bound
+        return window / rtt_s if rtt_s else math.inf
+
+
+class PipelineP2P(Level, namedtuple(
+        "PipelineP2P", "name participants payload_bytes activation_bytes "
+        "microbatches", defaults=(0.0, 1))):
+    """Each stage sends its activations to the next, once per micro-batch."""
+
+    __slots__ = ()
+    strategy = "pipeline_p2p"
+    keys = (("microbatches", int, "microbatches"),
+            ("activation", float, "activation_bytes"), _PAYLOAD)
+
+    def runs(self):
+        """One phase of n - 1 transfers, `microbatches` times."""
+        n, p = self.n, self.participants
+        phase = tuple(Transfer(p[i], p[i + 1], self.activation_bytes)
+                      for i in range(n - 1))
+        return ((phase, self.microbatches),) if n > 1 else ()
+
+
+# the record class of each strategy, by the name `plan` prints
+STRATEGIES = {cls.strategy: cls for cls in (
+    RingAllreduce, ParameterServer, InNetworkAggregation, PipelineP2P)}
+
+
+def _check_level(level: Level, g: TopologyGraph) -> None:
     """Reject what `comm_time` cannot route of `level` on `g`: a
     ValidationError naming the level, `at` the (level, field) at fault, the
     field None when no one field is."""
@@ -119,12 +160,12 @@ def _check_level(level: ParallelLevel, g: TopologyGraph) -> None:
     for p in level.participants:
         if p not in g.index:
             fail(f"unknown node {p!r}", "participants")
-    kinds = _SERVER_KINDS.get(level.strategy)
-    if kinds is None:
+    kinds = level.server_kinds
+    if not kinds:
         return
     if level.server is None:
         if level.n > 1:  # a single participant prices as no traffic
-            fail(f"{level.strategy.value} needs a server= node")
+            fail(f"{level.strategy} needs a server= node")
         return
     if level.server not in g.index:
         fail(f"unknown node {level.server!r}", "server")
@@ -134,25 +175,15 @@ def _check_level(level: ParallelLevel, g: TopologyGraph) -> None:
              + "/".join(k.value for k in kinds), "server")
 
 
-def _window_cap_bytes_per_s(level: ParallelLevel) -> float:
-    """Outstanding-packet window bound on a worker's aggregation throughput."""
-    # a float product: two large int fields give inf, not an OverflowError
-    window = float(level.window_packets) * level.packet_bytes
-    rtt_s = level.rtt_us * US  # 0.0 for a subnormal rtt: then no bound
-    return window / rtt_s if rtt_s else float("inf")
-
-
-def comm_time(level: ParallelLevel, g: TopologyGraph) -> tuple[tuple[float, int], ...]:
+def comm_time(level: Level, g: TopologyGraph) -> tuple[tuple[float, int], ...]:
     """`(seconds, count)` of each run of one level on a topology; `total`
     of them is the level's time.  A level `g` cannot route is an error as
     `_check_level` gives it; a routing error names the level, `at`
     (level, "participants")."""
     _check_level(level, g)
-    window_cap = (_window_cap_bytes_per_s(level)  # inf: no window bound
-                  if level.strategy == Strategy.IN_NETWORK_AGGREGATION
-                  else float("inf"))
+    window_cap = level.window_cap  # inf: no window bound
     priced = []
-    for phase, count in traffic_for_level(level):
+    for phase, count in level.runs():
         try:
             routed = [(x, resolve_path(g, x.src, x.dst)) for x in phase]
         except ValidationError as exc:
@@ -192,7 +223,7 @@ def total(runs, name: str) -> float:
 
 @dataclass(frozen=True)
 class TimeMatrix:
-    levels: tuple[ParallelLevel, ...]
+    levels: tuple[Level, ...]
     runs: tuple[tuple[tuple[float, int], ...], ...]  # per level, from comm_time
     row_totals: tuple[float, ...]  # per level, `total` of its runs
     phase_count: int = field(init=False)
@@ -201,7 +232,7 @@ class TimeMatrix:
         object.__setattr__(self, "phase_count", max(
             (sum(count for _, count in runs) for runs in self.runs), default=0))
 
-    def winner(self) -> tuple[ParallelLevel, float]:
+    def winner(self) -> tuple[Level, float]:
         """Cheapest level by total communication time; ties prefer smaller
         n, then declaration order."""
         i = min(range(len(self.levels)),
@@ -235,7 +266,7 @@ class TimeMatrix:
         def nested(value):  # `value` at depth 1 of the indented object
             return json.dumps(value, indent=2).replace("\n", "\n  ")
 
-        levels = [{"name": lv.name, "strategy": lv.strategy.value, "n": lv.n,
+        levels = [{"name": lv.name, "strategy": lv.strategy, "n": lv.n,
                    "payload_bytes": lv.payload_bytes} for lv in self.levels]
         yield (f'{{\n  "levels": {nested(levels)},\n  "phase_count": '
                f'{self.phase_count},\n  "entries": [')

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -356,6 +357,65 @@ def best_path_by_enumeration(g: TopologyGraph, src: str, dst: str):
         paths,
         key=lambda p: (-min(l.bandwidth for l in p[1]), len(p[1]), p[0]),
     )
+
+
+def runs_by_enumeration(level, g: TopologyGraph):
+    """Each run of `level` on `g` as `(seconds, count)`, or None if a
+    transfer has no route.  Only used as an oracle.
+
+    The transfers come from each strategy's definition: a ring sends a 1/n
+    chunk to the next participant 2(n - 1) times; a parameter server or an
+    in-network aggregation takes every payload to the server, then back; a
+    pipeline sends its activations down the chain once per micro-batch.
+    Fewer than two participants send nothing.  Each transfer takes the
+    `best_path_by_enumeration` route.  In each phase, the transfers that
+    cross a link in one direction (either, on a link that is not duplex)
+    share its bandwidth equally, and a transfer takes its latency and
+    overhead, summed with `fsum`, plus its bytes at its narrowest share.
+    An in-network aggregation's transfers also take at least their bytes
+    over its window of packets per round trip.
+    """
+    p, n, m = level.participants, len(level.participants), level.payload_bytes
+    if n < 2:
+        return []
+    if level.strategy == "ring_allreduce":
+        phases = [([(p[i], p[(i + 1) % n], m / n) for i in range(n)],
+                   2 * (n - 1))]
+    elif level.strategy == "pipeline_p2p":
+        phases = [([(p[i], p[i + 1], level.activation_bytes)
+                    for i in range(n - 1)], level.microbatches)]
+    else:
+        s = level.server
+        phases = [([(w, s, m) for w in p], 1), ([(s, w, m) for w in p], 1)]
+    window = math.inf
+    if level.strategy == "in_network_aggregation":
+        rtt = level.rtt_us * 1e-6
+        if rtt:
+            window = float(level.window_packets) * level.packet_bytes / rtt
+    position = {id(l): k for k, l in enumerate(g.links)}
+
+    def crossings(route):  # (link position, direction) of each hop
+        nodes, links = route
+        return [(position[id(l)], nodes[k] if l.duplex else None)
+                for k, l in enumerate(links)]
+
+    runs = []
+    for transfers, count in phases:
+        routes = [best_path_by_enumeration(g, src, dst)
+                  for src, dst, _ in transfers]
+        if None in routes:
+            return None
+        shares = Counter(c for route in routes for c in crossings(route))
+        seconds = 0.0
+        for (_, _, nbytes), route in zip(transfers, routes):
+            links = route[1]
+            rate = min(links[k].bandwidth * 1e9 / shares[c]
+                       for k, c in enumerate(crossings(route)))
+            delay = (math.fsum(l.latency for l in links)
+                     + math.fsum(l.extra_overhead_b for l in links)) * 1e-6
+            seconds = max(seconds, delay + nbytes / rate, nbytes / window)
+        runs.append((seconds, count))
+    return runs
 
 
 def widest_state_bottlenecks(g: TopologyGraph, src: str) -> dict:

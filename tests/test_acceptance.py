@@ -13,13 +13,14 @@ import pytest
 
 from clustersmith import gnn
 from clustersmith.cli import load_levels
-from clustersmith.commcost import link_time, path_time, resolve_path
+from clustersmith.commcost import path_time, resolve_path
 from clustersmith.contention import (Flow, SwitchModel, optimize_stagger,
                                      simulate, with_offsets)
-from clustersmith.parallelism import ParallelLevel, Strategy, traffic_for_level
+from clustersmith.parallelism import RingAllreduce, comm_time, total
 from clustersmith.pricing import coverage_table_cells
-from clustersmith.topology import (Link, LinkKind, NodeKind, PRESET_NAMES,
-                                   export_topo, load_preset, load_topology)
+from clustersmith.topology import (Link, LinkKind, Node, NodeKind,
+                                   PRESET_NAMES, build_graph, export_topo,
+                                   load_preset, load_topology)
 
 from conftest import (expanded_rows, finish_times, random_graph,
                       time_stepped_sim)
@@ -53,20 +54,24 @@ def test_acceptance_1_table_reproduction():
 
 
 def test_acceptance_2_sub_doubling_law():
+    # two-GPU rings, each on its own link, priced as `plan` prices them
+    # (`comm_time`, then `total`): at a link's bandwidth and at half of it,
+    # as halving its lanes would give, with latency and overhead b and
+    # without
     start = time.perf_counter()
     rng = random.Random(2)
+    nodes = [Node(f"{r}{i}", NodeKind.GPU) for r in "wxyz" for i in (0, 1)]
     for _ in range(1000):
-        link = Link("a", "b", LinkKind.PCIE,
-                    bandwidth=rng.uniform(0.5, 100.0),
-                    latency=rng.uniform(0.0, 10.0),
-                    extra_overhead_b=rng.uniform(1e-9, 10.0))
-        nbytes = rng.uniform(1.0, 1e10)
-        assert link_time(nbytes, link, 0.5) < 2.0 * link_time(nbytes, link,
-                                                              1.0)
-        zero_b = Link("a", "b", LinkKind.PCIE, bandwidth=link.bandwidth,
-                      latency=0.0, extra_overhead_b=0.0)
-        assert link_time(nbytes, zero_b, 0.5) == pytest.approx(
-            2.0 * link_time(nbytes, zero_b, 1.0), rel=1e-12)
+        bw, lat = rng.uniform(0.5, 100.0), rng.uniform(0.0, 10.0)
+        b, nbytes = rng.uniform(1e-9, 10.0), rng.uniform(1.0, 1e10)
+        g = build_graph(nodes, [
+            Link(f"{r}0", f"{r}1", LinkKind.PCIE, w, l, extra_overhead_b=o)
+            for r, w, l, o in (("w", bw, lat, b), ("x", bw / 2, lat, b),
+                               ("y", bw, 0.0, 0.0), ("z", bw / 2, 0.0, 0.0))])
+        full, half, full_0, half_0 = (total(comm_time(RingAllreduce(
+            r, (f"{r}0", f"{r}1"), nbytes), g), r) for r in "wxyz")
+        assert half < 2.0 * full
+        assert half_0 == pytest.approx(2.0 * full_0, rel=1e-12)
     assert time.perf_counter() - start < 1.0
     report(2)
 
@@ -145,9 +150,8 @@ def test_acceptance_6_ring_traffic_bytes():
     for n in range(2, 17):
         ids = tuple(f"g{i}" for i in range(n))
         payload = 8e9
-        level = ParallelLevel(name="r", strategy=Strategy.RING_ALLREDUCE,
-                              participants=ids, payload_bytes=payload)
-        runs = traffic_for_level(level)
+        runs = RingAllreduce(name="r", participants=ids,
+                             payload_bytes=payload).runs()
         # brute-force oracle: sum each participant's sent bytes per phase
         sent = {i: 0.0 for i in ids}
         for phase, count in runs:
@@ -251,7 +255,7 @@ def test_acceptance_9_gdr_routing():
 
     graph_on = load_topology(GDR_FIXTURE.replace("gdr=false", "gdr=true"))
     path_on = resolve_path(graph_on, "gpu", "nic")
-    assert path_on.hops <= path_off.hops - 1
+    assert len(path_on.links) <= len(path_off.links) - 1
     nbytes = 1e9
     assert path_time(nbytes, path_on) < path_time(nbytes, path_off)
     report(9)

@@ -187,7 +187,7 @@ def test_plan_evaluates_each_level_and_route_once(capsys, tmp_path, monkeypatch)
     planned, transfers = routes.copy(), Counter()
     g = topology.load_topology(topo.read_text())
     for level in load_levels(DUAL_SOCKET_LEVELS, g).levels:
-        for phase, _ in parallelism.traffic_for_level(level):
+        for phase, _ in level.runs():
             transfers.update((x.src, x.dst) for x in phase)
     assert planned == transfers
     assert ("gpu0", "nic0") in routes

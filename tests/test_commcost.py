@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersmith.commcost import link_time, path_time, resolve_path
+from clustersmith.commcost import path_time, resolve_path
 from clustersmith.errors import ValidationError
 from clustersmith.topology import (
     Link,
@@ -16,6 +16,7 @@ from clustersmith.topology import (
     Node,
     NodeKind,
     TopologyGraph,
+    build_graph,
     load_topology,
 )
 
@@ -29,48 +30,43 @@ from conftest import (
 )
 
 
-def make_link(bw, lat=0.0, b=0.0):
-    return Link(endpoint_a="a", endpoint_b="b", kind=LinkKind.PCIE,
-                bandwidth=bw, latency=lat, extra_overhead_b=b)
+def link_seconds(nbytes, bw, lat=0.0, b=0.0, fraction=1.0):
+    """`path_time` of `nbytes` over the routed path of one link a-b, at
+    `fraction` of its bandwidth, as a share of its lanes would give."""
+    g = build_graph([Node("a", NodeKind.GPU), Node("b", NodeKind.GPU)],
+                    [Link("a", "b", LinkKind.PCIE, bw, lat,
+                          extra_overhead_b=b)])
+    return path_time(nbytes, resolve_path(g, "a", "b"), bw * 1e9 * fraction)
 
 
 def test_link_time_basic():
-    assert link_time(10e9, make_link(40.0)) == pytest.approx(0.25)
+    assert link_seconds(10e9, 40.0) == pytest.approx(0.25)
 
 
 def test_link_time_two_a_plus_b():
     # a = 1 s, b = 0.2 s
-    link = make_link(10.0, b=0.2e6)
-    full = link_time(10e9, link, 1.0)
-    half = link_time(10e9, link, 0.5)
+    full = link_seconds(10e9, 10.0, b=0.2e6)
+    half = link_seconds(10e9, 10.0, b=0.2e6, fraction=0.5)
     assert full == pytest.approx(1.2)
     assert half == pytest.approx(2.2)
     assert half < 2 * full
 
 
 def test_link_time_zero_payload():
-    link = make_link(10.0, lat=3.0, b=2.0)
-    assert link_time(0, link) == pytest.approx(5e-6)
-
-
-def test_link_time_rejects_bad_fraction():
-    with pytest.raises(ValidationError,
-                       match=r"lane_fraction must be one of .*, got 0\.3"):
-        link_time(1e9, make_link(10.0), 0.3)
+    assert link_seconds(0, 10.0, lat=3.0, b=2.0) == pytest.approx(5e-6)
 
 
 @given(bw=st.floats(0.5, 200.0), b=st.floats(0.001, 100.0),
        nbytes=st.floats(0, 1e11))
 def test_sub_doubling_property(bw, b, nbytes):
-    link = make_link(bw, b=b)
-    assert link_time(nbytes, link, 0.5) < 2 * link_time(nbytes, link, 1.0)
+    assert link_seconds(nbytes, bw, b=b, fraction=0.5) < 2 * link_seconds(
+        nbytes, bw, b=b)
 
 
 @given(bw=st.floats(0.5, 200.0), nbytes=st.floats(0, 1e11))
 def test_sub_doubling_equality_at_zero_b(bw, nbytes):
-    link = make_link(bw)
-    assert link_time(nbytes, link, 0.5) == pytest.approx(
-        2 * link_time(nbytes, link, 1.0))
+    assert link_seconds(nbytes, bw, fraction=0.5) == pytest.approx(
+        2 * link_seconds(nbytes, bw))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def test_direct_link_is_single_hop():
                       "link a b kind=NvLink bw=40")
     p = resolve_path(g, "a", "b")
     assert p.nodes == ("a", "b")
-    assert p.hops == 1
+    assert len(p.links) == 1
     assert p.bottleneck_bandwidth == 40.0
 
 
@@ -174,7 +170,7 @@ def test_path_time_consistency_one_hop():
     g = load_topology("node a kind=Gpu\nnode b kind=Gpu\n"
                       "link a b kind=NvLink bw=40 lat=1 b=0.5")
     p = resolve_path(g, "a", "b")
-    assert path_time(10e9, p) == pytest.approx(link_time(10e9, p.links[0]))
+    assert path_time(10e9, p) == pytest.approx(1.5e-6 + 0.25)
 
 
 def test_path_time_bottleneck_rule():
@@ -304,7 +300,7 @@ def test_large_random_routes_match_one_way_search():
                 got = resolve_path(graph, src, dst)
                 assert got == one_way_route(graph, src, dst)
                 seen["revisits"] += len(set(got.nodes)) < len(got.nodes)
-                seen["long"] += got.hops >= 8
+                seen["long"] += len(got.links) >= 8
     assert seen["revisits"] > 40 and seen["long"] > 600
 
 

@@ -27,7 +27,7 @@ from clustersmith.gnn import (
     train,
     validation_mape,
 )
-from clustersmith.parallelism import ParallelLevel, Strategy, comm_time
+from clustersmith.parallelism import RingAllreduce, comm_time
 from clustersmith.topology import (
     Link,
     LinkKind,
@@ -46,7 +46,6 @@ from conftest import (
 )
 
 DATA = Path(__file__).parent / "data"
-RING = Strategy.RING_ALLREDUCE
 
 
 def _a_hat(n, pairs):
@@ -54,7 +53,7 @@ def _a_hat(n, pairs):
     nodes = [Node(f"g{i}", NodeKind.GPU) for i in range(n)]
     links = [Link(f"g{i}", f"g{j}", LinkKind.NVLINK, 10.0) for i, j in pairs]
     return graph_inputs(build_graph(nodes, links),
-                        ParallelLevel("l", RING, (), 1e9))[0]
+                        RingAllreduce("l", (), 1e9))[0]
 
 
 def test_normalized_adjacency_isolated_node():
@@ -95,10 +94,10 @@ def test_graph_inputs_equal_the_dense_and_loop_builders(nvlink4, dual_socket):
     rewritten = load_topology(dual_socket_text(*REWRITES))
     for g in (nvlink4, dual_socket, cluster, rewritten):
         gpus = tuple(n.id for n in g.nodes if n.kind is NodeKind.GPU)
-        _assert_inputs_equal_oracles(g, ParallelLevel("r", RING, gpus, 1e9))
+        _assert_inputs_equal_oracles(g, RingAllreduce("r", gpus, 1e9))
         # a participant the graph lacks sets no flag
         _assert_inputs_equal_oracles(
-            g, ParallelLevel("x", RING, (g.nodes[-1].id, "absent"), 0.0))
+            g, RingAllreduce("x", (g.nodes[-1].id, "absent"), 0.0))
     for sample in generate_dataset(seed=0, count=200):
         _assert_inputs_equal_oracles(sample.graph, sample.level)
 
@@ -115,7 +114,7 @@ def _graphs_and_levels(draw):
                  st.floats(1e-3, 1e3)), max_size=24 if n > 1 else 0))]
     participants = draw(st.lists(st.sampled_from(
         [node.id for node in nodes] + ["absent"]), unique=True))
-    level = ParallelLevel("l", RING, tuple(participants),
+    level = RingAllreduce("l", tuple(participants),
                           draw(st.floats(0.0, 1e12)))
     return build_graph(nodes, links), level
 

@@ -9,7 +9,7 @@ import pytest
 from clustersmith import gnn
 from clustersmith.cli import load_levels
 from clustersmith.errors import ParseError, ValidationError
-from clustersmith.parallelism import ParallelLevel, Strategy, comm_time
+from clustersmith.parallelism import RingAllreduce, comm_time
 from clustersmith.topology import load_topology
 
 from conftest import run, write
@@ -37,7 +37,7 @@ NOT_FINITE = ("error: line 1, col 1: level 'r': time is not a finite number "
 
 def test_routing_error_names_the_level_at_its_participants():
     g = load_topology(SPLIT)
-    r = ParallelLevel("r", Strategy.RING_ALLREDUCE, ("a", "b", "c"), 1e9)
+    r = RingAllreduce("r", ("a", "b", "c"), 1e9)
     with pytest.raises(ValidationError) as info:
         comm_time(r, g)
     assert str(info.value) == "level 'r': no route from 'b' to 'c'"

@@ -2,7 +2,7 @@
 broken in a fixed, seeded set of single-fault ways, and a SHA-256 over
 `plan`'s exit code and stderr for each is compared with a recorded one.
 The faults span every kind of level error: the line format, a key the
-level's strategy does not read, a `ParallelLevel` rule, an unknown node, a
+level's strategy does not read, a rule of its level record, an unknown node, a
 server of the wrong kind, a pair with no route, and a time that is not
 finite.  Any change of a message, a line or a column shows.  `gnn
 predict`, with and without `--compare`, rejects each faulty level with

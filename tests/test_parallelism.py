@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,26 +13,29 @@ from hypothesis import strategies as st
 from clustersmith.commcost import path_time, resolve_path
 from clustersmith.errors import ValidationError
 from clustersmith.parallelism import (
-    ParallelLevel,
-    Strategy,
+    STRATEGIES,
+    InNetworkAggregation,
+    ParameterServer,
+    PipelineP2P,
+    RingAllreduce,
     comm_time,
     total,
-    traffic_for_level,
 )
 from clustersmith.topology import load_topology
 
-from conftest import expand, expanded_rows, matrix_of, time_matrix
+from conftest import (expand, expanded_rows, matrix_of, random_graph,
+                      runs_by_enumeration, time_matrix)
 
 
 def ring(n, payload, name="ring", participants=None):
     participants = participants or tuple(f"gpu{i}" for i in range(n))
-    return ParallelLevel(name=name, strategy=Strategy.RING_ALLREDUCE,
-                         participants=participants, payload_bytes=payload)
+    return RingAllreduce(name=name, participants=participants,
+                         payload_bytes=payload)
 
 
 def brute_force_ring_bytes(n, payload):
     """Oracle: sum every per-phase send of each participant."""
-    runs = traffic_for_level(ring(n, payload))
+    runs = ring(n, payload).runs()
     sent = {f"gpu{i}": 0.0 for i in range(n)}
     for phase, count in runs:
         for _ in range(count):
@@ -40,7 +45,7 @@ def brute_force_ring_bytes(n, payload):
 
 
 def test_ring_phase_count_and_bytes():
-    runs = traffic_for_level(ring(4, 1e9))
+    runs = ring(4, 1e9).runs()
     assert [count for _, count in runs] == [6]
     sent = brute_force_ring_bytes(4, 1e9)
     assert all(v == pytest.approx(1.5e9) for v in sent.values())
@@ -53,7 +58,7 @@ def test_ring_per_participant_total(n, payload):
 
 
 def test_ring_conservation():
-    for phase, _ in traffic_for_level(ring(5, 3e9)):
+    for phase, _ in ring(5, 3e9).runs():
         assert sum(f.bytes for f in phase) == pytest.approx(
             sum(f.bytes for f in phase))  # point-to-point: injected = delivered
         srcs = {f.src for f in phase}
@@ -62,43 +67,62 @@ def test_ring_conservation():
 
 
 def test_parameter_server_flows():
-    lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
-                       participants=("gpu0", "gpu1"), payload_bytes=1e9,
-                       server="cpu")
-    (up, n_up), (down, n_down) = traffic_for_level(lv)
+    lv = ParameterServer(name="ps", participants=("gpu0", "gpu1"),
+                         payload_bytes=1e9, server="cpu")
+    (up, n_up), (down, n_down) = lv.runs()
     assert n_up == n_down == 1
     assert sum(f.bytes for f in up if f.dst == "cpu") == pytest.approx(2e9)
     assert sum(f.bytes for f in down if f.src == "cpu") == pytest.approx(2e9)
 
 
 def test_parameter_server_needs_server(nvlink4):
-    lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
-                       participants=("gpu0", "gpu1"), payload_bytes=1e9)
+    lv = ParameterServer(name="ps", participants=("gpu0", "gpu1"),
+                         payload_bytes=1e9)
     with pytest.raises(ValidationError, match="^level 'ps': "
                        "parameter_server needs a server= node$"):
         comm_time(lv, nvlink4)
 
 
 def test_degenerate_single_participant():
-    for strategy in Strategy:
-        lv = ParallelLevel(name="solo", strategy=strategy,
-                           participants=("gpu0",), payload_bytes=1e9)
-        assert traffic_for_level(lv) == ()
+    for cls in STRATEGIES.values():
+        lv = cls(name="solo", participants=("gpu0",), payload_bytes=1e9)
+        assert lv.runs() == ()
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (RingAllreduce, {"server": "cpu"}),
+    (ParameterServer, {"microbatches": 8}),
+    (PipelineP2P, {"window_packets": 3}),
+    (InNetworkAggregation, {"activation_bytes": 5.0}),
+    # a ring that could hold these once priced as the plain ring, yet
+    # compared unequal to it
+    (RingAllreduce, {"server": "ghost", "window_packets": 3,
+                     "microbatches": 10 ** 300}),
+])
+def test_a_record_takes_no_field_its_strategy_does_not_read(cls, fields):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument "
+                       f"'{next(iter(fields))}'"):
+        cls(name="l", participants=("gpu0", "gpu1"), payload_bytes=1e9,
+            **fields)
+
+
+def test_a_record_holds_only_the_fields_its_keys_set():
+    for cls in STRATEGIES.values():
+        assert set(cls._fields) == {"name", "participants",
+                                    *(field for *_, field in cls.keys)}
 
 
 def test_zero_participants_rejected(nvlink4):
-    lv = ParallelLevel(name="none", strategy=Strategy.RING_ALLREDUCE,
-                       participants=(), payload_bytes=1e9)
+    lv = RingAllreduce(name="none", participants=(), payload_bytes=1e9)
     with pytest.raises(ValidationError, match="^level 'none': needs at "
                        "least one participant$"):
         comm_time(lv, nvlink4)
 
 
 def test_pipeline_phases():
-    lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
-                       participants=("gpu0", "gpu1", "gpu2"),
-                       payload_bytes=0, microbatches=4, activation_bytes=1e8)
-    runs = traffic_for_level(lv)
+    lv = PipelineP2P(name="pp", participants=("gpu0", "gpu1", "gpu2"),
+                     payload_bytes=0, microbatches=4, activation_bytes=1e8)
+    runs = lv.runs()
     assert [(len(phase), count) for phase, count in runs] == [(2, 4)]
 
 
@@ -125,10 +149,9 @@ def test_zero_payload_gives_pure_latency():
 
 
 def test_ina_window_cap():
-    lv = ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
-                       participants=("gpu0", "gpu1"), payload_bytes=1e9,
-                       server="tor", window_packets=4, packet_bytes=1100,
-                       rtt_us=10.0)
+    lv = InNetworkAggregation(name="ina", participants=("gpu0", "gpu1"),
+                              payload_bytes=1e9, server="tor",
+                              window_packets=4, packet_bytes=1100, rtt_us=10.0)
     g = load_topology(
         "node gpu0 kind=Gpu\nnode gpu1 kind=Gpu\nnode tor kind=NetworkSwitch\n"
         "link gpu0 tor kind=Ethernet bw=100\nlink gpu1 tor kind=Ethernet bw=100"
@@ -143,10 +166,9 @@ def test_ina_window_cap():
 def test_ina_window_past_float_range_is_no_bound():
     # each field fits a float but their product does not: no window bound,
     # only the 100 GB/s wire
-    lv = ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
-                       participants=("gpu0", "gpu1"), payload_bytes=1e9,
-                       server="tor", window_packets=10 ** 200,
-                       packet_bytes=10 ** 200)
+    lv = InNetworkAggregation(name="ina", participants=("gpu0", "gpu1"),
+                              payload_bytes=1e9, server="tor",
+                              window_packets=10 ** 200, packet_bytes=10 ** 200)
     g = load_topology(
         "node gpu0 kind=Gpu\nnode gpu1 kind=Gpu\nnode tor kind=NetworkSwitch\n"
         "link gpu0 tor kind=Ethernet bw=100\nlink gpu1 tor kind=Ethernet bw=100"
@@ -155,9 +177,8 @@ def test_ina_window_past_float_range_is_no_bound():
 
 
 def test_ina_requires_network_switch_server():
-    lv = ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
-                       participants=("gpu0", "gpu1"), payload_bytes=1e9,
-                       server="cpu")
+    lv = InNetworkAggregation(name="ina", participants=("gpu0", "gpu1"),
+                              payload_bytes=1e9, server="cpu")
     g = load_topology(PAIR + "node cpu kind=CpuSocket\n"
                       "link gpu1 cpu kind=Pcie bw=16\n")
     with pytest.raises(ValidationError, match="^level 'ina': server 'cpu' is "
@@ -173,9 +194,8 @@ def test_equal_split_on_shared_link():
         "link gpu0 sw kind=Pcie bw=16\nlink gpu1 sw kind=Pcie bw=16\n"
         "link sw cpu kind=Pcie bw=16"
     )
-    lv = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
-                       participants=("gpu0", "gpu1"), payload_bytes=8e9,
-                       server="cpu")
+    lv = ParameterServer(name="ps", participants=("gpu0", "gpu1"),
+                         payload_bytes=8e9, server="cpu")
     times = expand(comm_time(lv, g))
     # uplink shared by 2 flows at 8 GB/s each: 1 s per direction phase
     assert times == pytest.approx([1.0, 1.0])
@@ -183,7 +203,7 @@ def test_equal_split_on_shared_link():
 
 def test_comm_time_at_least_isolation_bound(nvlink4):
     lv = ring(4, 10e9)
-    runs = traffic_for_level(lv)
+    runs = lv.runs()
     priced = comm_time(lv, nvlink4)
     assert [count for _, count in priced] == [count for _, count in runs]
     for (phase, _), (t, _) in zip(runs, priced):
@@ -192,15 +212,60 @@ def test_comm_time_at_least_isolation_bound(nvlink4):
         assert t >= bound - 1e-12
 
 
+def random_level(rng, g, cls):
+    """A level of record `cls` on participants and a server drawn from
+    `g`, the server of a kind its strategy allows; None if `g` has none."""
+    ids = [node.id for node in g.nodes]
+    fields = {}
+    if cls.server_kinds:
+        servers = [node.id for node in g.nodes
+                   if node.kind in cls.server_kinds]
+        if not servers:
+            return None
+        fields["server"] = rng.choice(servers)
+        ids.remove(fields["server"])
+    if cls is InNetworkAggregation:
+        fields.update(window_packets=rng.randint(1, 64),
+                      packet_bytes=rng.randint(64, 9000),
+                      rtt_us=rng.uniform(0.5, 50.0))
+    if cls is PipelineP2P:
+        fields.update(microbatches=rng.randint(1, 16),
+                      activation_bytes=rng.uniform(0.0, 1e9))
+    participants = tuple(rng.sample(ids, rng.randint(1, min(5, len(ids)))))
+    payload = rng.choice([0.0, rng.uniform(0.0, 1e10)])
+    return cls("l", participants, payload, **fields)
+
+
+def test_comm_time_equals_the_enumeration_oracle():
+    # exactly, run by run, and unroutable on the same levels
+    rng = random.Random(7)
+    seen = Counter()
+    while sum(seen.values()) < 2000:
+        g = random_graph(rng, min_nodes=3, max_nodes=8,
+                         connected=rng.random() < 0.8)
+        for cls in STRATEGIES.values():
+            level = random_level(rng, g, cls)
+            if level is None:
+                continue
+            want = runs_by_enumeration(level, g)
+            try:
+                got = list(comm_time(level, g))
+            except ValidationError as exc:
+                assert "no route" in str(exc)
+                got = None
+            assert got == want, level
+            seen[cls.strategy, got is None] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 25, seen
+
+
 def test_uncontended_transfer_is_priced_by_path_time():
     # one transfer shares no link, so its time is exactly `path_time`'s
     g = load_topology(
         "node gpu0 kind=Gpu\nnode sw kind=PcieSwitch\nnode gpu1 kind=Gpu\n"
         "link gpu0 sw kind=Pcie bw=32 lat=0.7 b=0.3\n"
         "link sw gpu1 kind=Pcie bw=16 lat=0.4")
-    lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
-                       participants=("gpu0", "gpu1"), payload_bytes=0,
-                       microbatches=3, activation_bytes=3e8)
+    lv = PipelineP2P(name="pp", participants=("gpu0", "gpu1"), payload_bytes=0,
+                     microbatches=3, activation_bytes=3e8)
     assert comm_time(lv, g) == (
         (path_time(3e8, resolve_path(g, "gpu0", "gpu1")), 3),)
 
@@ -218,9 +283,8 @@ def test_doubling_payload_doubles_entries(nvlink4):
 
 
 def test_matrix_single_cell(nvlink4):
-    lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
-                       participants=("gpu0", "gpu1"), payload_bytes=0,
-                       microbatches=1, activation_bytes=1e9)
+    lv = PipelineP2P(name="pp", participants=("gpu0", "gpu1"), payload_bytes=0,
+                     microbatches=1, activation_bytes=1e9)
     m = time_matrix([lv], nvlink4)
     assert m.phase_count == 1
     assert len(expanded_rows(m)) == 1
@@ -240,15 +304,12 @@ def test_matrix_padding_preserves_totals(nvlink4):
 def test_matrix_pads_its_rows(dual_socket):
     levels = [
         ring(4, 10e9, name="r4"),
-        ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
-                      participants=("gpu0", "gpu1"), payload_bytes=1e9,
-                      server="nic0"),
-        ParallelLevel(name="ina", strategy=Strategy.IN_NETWORK_AGGREGATION,
-                      participants=("gpu0", "gpu1", "gpu2"), payload_bytes=1e9,
-                      server="net0"),
-        ParallelLevel(name="pipe", strategy=Strategy.PIPELINE_P2P,
-                      participants=("gpu0", "gpu1", "gpu2"), payload_bytes=0,
-                      microbatches=3, activation_bytes=1e8),
+        ParameterServer(name="ps", participants=("gpu0", "gpu1"),
+                        payload_bytes=1e9, server="nic0"),
+        InNetworkAggregation(name="ina", participants=("gpu0", "gpu1", "gpu2"),
+                             payload_bytes=1e9, server="net0"),
+        PipelineP2P(name="pipe", participants=("gpu0", "gpu1", "gpu2"),
+                    payload_bytes=0, microbatches=3, activation_bytes=1e8),
     ]
     runs = tuple(comm_time(lv, dual_socket) for lv in levels)
     rows = [expand(r) for r in runs]
@@ -291,7 +352,7 @@ def expanded_csv(m):
 def expanded_json(m):
     """Oracle: `json.dumps` of the whole matrix, from the expanded rows."""
     return json.dumps({
-        "levels": [{"name": lv.name, "strategy": lv.strategy.value, "n": lv.n,
+        "levels": [{"name": lv.name, "strategy": lv.strategy, "n": lv.n,
                     "payload_bytes": lv.payload_bytes} for lv in m.levels],
         "phase_count": m.phase_count,
         "entries": [list(row) for row in expanded_rows(m)],
@@ -317,9 +378,8 @@ def test_streamed_matrix_text_equals_the_expanded_text(rows):
 
 
 def test_streamed_matrix_chunks_stay_small():
-    lv = ParallelLevel(name="pp", strategy=Strategy.PIPELINE_P2P,
-                       participants=("gpu0", "gpu1"), payload_bytes=0,
-                       microbatches=10 ** 5, activation_bytes=1e8)
+    lv = PipelineP2P(name="pp", participants=("gpu0", "gpu1"), payload_bytes=0,
+                     microbatches=10 ** 5, activation_bytes=1e8)
     m = matrix_of((lv,), (((0.0125, 10 ** 5),),))
     for chunks in (m.csv_chunks(), m.json_chunks()):
         assert max(map(len, chunks)) <= 16 * 1024
@@ -377,9 +437,9 @@ def test_select_ring_beats_slow_parameter_server():
         "link gpu0 cpu kind=Pcie bw=1\n"
     )
     r = ring(4, 1e9)
-    ps = ParallelLevel(name="ps", strategy=Strategy.PARAMETER_SERVER,
-                       participants=("gpu0", "gpu1", "gpu2", "gpu3"),
-                       payload_bytes=1e9, server="cpu")
+    ps = ParameterServer(name="ps",
+                         participants=("gpu0", "gpu1", "gpu2", "gpu3"),
+                         payload_bytes=1e9, server="cpu")
     best, _ = time_matrix([ps, r], g).winner()
     assert best is r
 

@@ -6,7 +6,7 @@ import pytest
 
 from clustersmith.errors import ParseError, ValidationError
 from clustersmith.gnn import graph_inputs
-from clustersmith.parallelism import ParallelLevel, Strategy
+from clustersmith.parallelism import RingAllreduce
 from clustersmith.topology import (
     Link,
     LinkKind,
@@ -28,7 +28,7 @@ node gpu kind=Gpu
 link cpu sw kind=Pcie bw=16 lanes=16
 link sw gpu kind=Pcie bw=16
 """
-NO_LEVEL = ParallelLevel("l", Strategy.RING_ALLREDUCE, (), 0.0)
+NO_LEVEL = RingAllreduce("l", (), 0.0)
 
 
 def adjacency(g):
