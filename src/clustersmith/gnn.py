@@ -70,17 +70,84 @@ class GnnModel:
 
 
 def init_model(seed: int) -> GnnModel:
-    """Seeded Glorot-uniform initialization, FEATURE_DIM -> 16 -> 16."""
-    rng = np.random.default_rng(seed)
+    """Seeded Glorot-uniform initialization, FEATURE_DIM -> 16 -> 16.
+
+    W0, W1 and head_w are drawn in turn, in C order, from one stream:
+    numpy's `default_rng(seed).uniform`, reproduced without `numpy.random`
+    (see `_doubles`).  A negative seed raises ValidationError.
+    """
+    doubles = _doubles(seed)
     dims = (FEATURE_DIM, 16, 16)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-r, r, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    r = np.sqrt(6.0 / (dims[-1] + 1))
-    head_w = rng.uniform(-r, r, size=dims[-1])
-    return GnnModel(weights=weights, biases=biases, head_w=head_w, head_b=0.0)
+
+    def glorot(fan_in, fan_out):
+        r = math.sqrt(6.0 / (fan_in + fan_out))
+        # numpy's uniform(-r, r): low + (high - low) * u
+        return np.array([-r + (r + r) * next(doubles)
+                         for _ in range(fan_in * fan_out)]).reshape(fan_in, fan_out)
+
+    weights = [glorot(fan_in, fan_out) for fan_in, fan_out in zip(dims, dims[1:])]
+    return GnnModel(weights=weights, biases=[np.zeros(d) for d in dims[1:]],
+                    head_w=glorot(dims[-1], 1).ravel(), head_b=0.0)
+
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _check_seed(seed: int) -> None:
+    """A seed is any integer >= 0, however large, as numpy's SeedSequence
+    takes it; check_number alone would refuse one too large for a float."""
+    if seed < 0:
+        check_number("seed", seed)
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix, each call with the next constant of its chain."""
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _doubles(seed: int):
+    """The doubles in [0, 1) of numpy's `default_rng(seed)`, bit for bit.
+
+    SeedSequence mixes the seed's little-endian 32-bit words into a pool of
+    four and expands it to four 64-bit words; PCG64 (XSL-RR 128/64,
+    O'Neill 2014) is seeded with state w0:w1 and stream w2:w3, and each
+    output's top 53 bits make a double.
+    """
+    _check_seed(seed)
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(pool[i % 4]) for i in range(8)]
+    w = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        yield (x >> 11) * 2.0**-53
 
 
 def forward(model: GnnModel, a_hat: np.ndarray, h: np.ndarray) -> float:
@@ -314,6 +381,7 @@ class TrainConfig:
     def __post_init__(self):
         check_number("learning_rate", self.learning_rate)
         check_number("epochs", self.epochs)
+        _check_seed(self.seed)
 
 
 def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):

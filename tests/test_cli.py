@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from clustersmith import gnn, parallelism, topology
 from clustersmith.cli import load_levels, main
 from clustersmith.commcost import RoutingIndex
+from clustersmith.errors import ValidationError
 
 from conftest import dual_socket_text, run, write
 
@@ -676,6 +677,23 @@ def test_gnn_train_bad_settings_exit_2(capsys, tmp_path, argv, message):
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out_path.exists()
+
+
+def test_gnn_train_negative_seed_exits_2_before_any_work(capsys, tmp_path,
+                                                         monkeypatch):
+    def no_dataset(**kwargs):
+        raise AssertionError("the dataset was generated")
+    monkeypatch.setattr(gnn, "generate_dataset", no_dataset)
+    out_path = tmp_path / "model.txt"
+    code, out, err = run(capsys, "gnn", "train", "--seed", "-1",
+                         "--out", str(out_path))
+    assert (code, out, err) == (
+        2, "", "error: seed must be finite and >= 0, got -1\n")
+    assert not out_path.exists()
+    with pytest.raises(ValidationError,
+                       match="^seed must be finite and >= 0, got -1$"):
+        gnn.init_model(seed=-1)
+    gnn.TrainConfig(seed=2**1100)  # a seed of any size >= 0 is fine
 
 
 def test_gnn_train_zero_epochs_writes_the_initial_model(capsys, tmp_path):

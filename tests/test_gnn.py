@@ -494,6 +494,21 @@ def test_training_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_init_model_draws_numpys_default_rng_stream():
+    """numpy.random as an oracle only: W0, W1 and head_w are three
+    successive `default_rng(seed).uniform` draws, for seeds of one, two
+    and many 32-bit words."""
+    for seed in (*range(200), 2**32 - 1, 2**32, 2**64, 2**128 + 1,
+                 2**200 + 17, 2**1100 + 5):
+        model = init_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        for drawn, fans, shape in ((model.weights[0], 30, (14, 16)),
+                                   (model.weights[1], 32, (16, 16)),
+                                   (model.head_w, 17, (16,))):
+            r = np.sqrt(6.0 / fans)
+            assert np.array_equal(drawn, rng.uniform(-r, r, size=shape)), seed
+
+
 @pytest.mark.parametrize("kwargs", [
     {"learning_rate": -1.0}, {"learning_rate": float("nan")},
     {"learning_rate": float("inf")}, {"epochs": -3},

@@ -1,7 +1,8 @@
-"""Start-up cost: only `gnn` imports numpy, only reading a bundled file
-imports `importlib.resources`, nothing imports `typing` (records are
-`collections.namedtuple`s), and `main` builds its parser once per process
-without carrying state from one call to the next."""
+"""Start-up cost: only `gnn` imports numpy, no command imports
+`numpy.random`, only reading a bundled file imports `importlib.resources`,
+nothing imports `typing` (records are `collections.namedtuple`s), and
+`main` builds its parser once per process without carrying state from one
+call to the next."""
 
 import contextlib
 import io
@@ -27,15 +28,15 @@ level pipe strategy=pipeline_p2p participants=gpu0,gpu1,gpu2 payload=0 microbatc
 """
 FLOWS = "flow f0 bytes=10e9\nflow f1 bytes=4e9 release=0.01\nflow f2 bytes=1e9\n"
 
-# Runs each argv through `main` with numpy made unimportable, and prints
-# one JSON list of (exit code, stdout) pairs.
+# Runs each argv through `main` with the module named first made
+# unimportable, and prints one JSON list of (exit code, stdout) pairs.
 BLOCKED = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None
-sys.path.insert(0, sys.argv[1])
+sys.modules[sys.argv[1]] = None
+sys.path.insert(0, sys.argv[2])
 from clustersmith.cli import main
 results = []
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[3]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -97,13 +98,32 @@ def test_commands_run_without_numpy(capsys, tmp_path, inputs):
     blocked_dir.mkdir()
     for name in ("dual.topo", "levels.txt", "flows.txt"):
         (blocked_dir / name).write_bytes((inputs / name).read_bytes())
-    blocked = json.loads(python("-c", BLOCKED, SRC,
+    blocked = json.loads(python("-c", BLOCKED, "numpy", SRC,
                                 json.dumps(commands(blocked_dir))))
     expected = [list(run_in_process(capsys, argv)) for argv in commands(inputs)]
     assert [code for code, _ in expected] == [0] * len(expected)
     assert blocked == expected
     for name in ("export.topo", "matrix.csv", "matrix.json", "events.csv"):
         assert (blocked_dir / name).read_bytes() == (inputs / name).read_bytes()
+
+
+def test_gnn_runs_without_numpy_random(capsys, tmp_path, inputs):
+    level = inputs / "level.txt"
+    level.write_text(LEVELS.strip().splitlines()[0] + "\n")
+
+    def gnn_commands(model: Path) -> list:
+        return [["gnn", "train", "--count", "20", "--epochs", "50",
+                 "--out", str(model)],
+                ["gnn", "predict", "--model", str(model), "--topo",
+                 str(inputs / "dual.topo"), "--level", str(level), "--compare"]]
+    blocked = json.loads(python("-c", BLOCKED, "numpy.random", SRC, json.dumps(
+        gnn_commands(tmp_path / "blocked-model.txt"))))
+    expected = [list(run_in_process(capsys, argv))
+                for argv in gnn_commands(tmp_path / "model.txt")]
+    assert [code for code, _ in expected] == [0, 0]
+    assert blocked == expected
+    assert ((tmp_path / "blocked-model.txt").read_bytes()
+            == (tmp_path / "model.txt").read_bytes())
 
 
 def test_options_do_not_carry_over_between_calls(capsys, inputs):
