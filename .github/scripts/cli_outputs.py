@@ -5,7 +5,8 @@ so that two trees' outputs diff to exactly the outputs that changed:
   cluster (all four strategies) and on the dual-socket preset with
   `tests/test_startup.py`'s LEVELS;
 - `topo export` in both formats on both presets;
-- a small `gnn train` model, and `gnn predict --compare` with it.
+- a small `gnn train` model, and `gnn predict --compare` with it;
+- `price coverage --tables`, one `price coverage` and one `price breakeven`.
 
 Each stdout is hashed after its exit code.
 
@@ -69,6 +70,11 @@ def main() -> None:
             "--out", model, files=(("model", model),))
         run("gnn predict dual-socket", "gnn", "predict", "--model", model,
             "--topo", dual, "--level", tmp / "ring.level", "--compare")
+        run("price coverage tables", "price", "coverage", "--tables")
+        run("price coverage", "price", "coverage", "--funding", 68200,
+            "--monthly", 3751.82)
+        run("price breakeven", "price", "breakeven", "--capex", 40000,
+            "--opex", 200, "--monthly", 1700)
 
 
 if __name__ == "__main__":

@@ -200,31 +200,27 @@ def cmd_stagger(args) -> int:
 
 
 def cmd_price(args) -> int:
-    if args.action == "coverage":
-        if args.tables:
-            cells = pricing.coverage_table_cells()
-            worst = 0.0
-            for c in cells:
-                worst = max(worst, abs(c.delta))
-                print(f"{c.table} {c.provider} vs {c.funding_label}: "
-                      f"computed {c.computed:.2f} printed {c.printed:.2f}")
-            if worst > 0.01:
-                _err(f"mismatch beyond 0.01 (max {worst:.4f})")
-                return EXIT_DOMAIN
-            _ok(f"{len(cells)} cells within 0.01")
-            return EXIT_OK
-        if args.funding is None or args.monthly is None:
-            raise ValidationError("coverage needs --funding and --monthly "
-                                  "(or --tables)")
-        months = pricing.coverage_months(
-            pricing.FundingLevel("funding", args.funding),
-            pricing.RentalQuote("quote", args.monthly))
-        print(f"{months:.2f}")
+    if args.action == "breakeven":
+        print(pricing.break_even(args.capex, args.opex, args.monthly))
         return EXIT_OK
-    months = pricing.break_even(
-        pricing.PurchaseOption(capex=args.capex, monthly_opex=args.opex),
-        pricing.RentalQuote("quote", args.monthly))
-    print(months)
+    if args.tables:
+        for option in ("funding", "monthly"):
+            if getattr(args, option) is not None:
+                raise ValidationError(f"coverage --tables takes no --{option}")
+        cells = pricing.coverage_table_cells()
+        for c in cells:
+            print(f"{c.table} {c.provider} vs {c.funding_label}: "
+                  f"computed {c.computed:.2f} printed {c.printed:.2f}")
+        worst = max(abs(c.delta) for c in cells)
+        if worst > 0.01:
+            _err(f"mismatch beyond 0.01 (max {worst:.4f})")
+            return EXIT_DOMAIN
+        _ok(f"{len(cells)} cells within 0.01")
+        return EXIT_OK
+    if args.funding is None or args.monthly is None:
+        raise ValidationError("coverage needs --funding and --monthly "
+                              "(or --tables)")
+    print(f"{pricing.coverage_months(args.funding, args.monthly):.2f}")
     return EXIT_OK
 
 

@@ -815,6 +815,12 @@ def test_bad_level_exit_2(capsys, tmp_path, nvlink4_path, fields, message):
      "monthly opex must be finite"),
     (["breakeven", "--monthly", "1e-300", "--capex", "1e308"],
      "break-even month count overflows"),
+    (["coverage", "--funding", "5"],
+     "coverage needs --funding and --monthly (or --tables)"),
+    (["coverage", "--tables", "--funding", "5", "--monthly", "-1"],
+     "coverage --tables takes no --funding"),
+    (["coverage", "--monthly", "100", "--tables"],
+     "coverage --tables takes no --monthly"),
 ])
 def test_price_bad_numbers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "price", *argv)
@@ -828,16 +834,23 @@ def test_price_bad_numbers_exit_2(capsys, argv, message):
 def test_price_arguments_fuzzed_exit_0_or_2(data, action):
     values = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308",
                               "1e-300", BIG, "12.5"])
-    options = (("--funding", "--monthly") if action == "coverage"
-               else ("--capex", "--opex", "--monthly"))
-    argv = ["price", action] + [f"{o}={data.draw(values, label=o)}"
-                                for o in options]
+    if action == "coverage":  # either number may be left out, for --tables
+        values, options = st.none() | values, ("--funding", "--monthly")
+    else:
+        options = ("--capex", "--opex", "--monthly")
+    argv = ["price", action] + [f"{o}={v}" for o in options
+                                if (v := data.draw(values, label=o)) is not None]
+    tables = action == "coverage" and data.draw(st.booleans(), label="--tables")
+    if tables:
+        argv.append("--tables")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    if tables:  # --tables alone checks the bundled cells, and takes no number
+        assert code == (0 if len(argv) == 3 else 2), argv
 
 
 @pytest.mark.parametrize("fields,message", [

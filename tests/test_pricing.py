@@ -1,44 +1,36 @@
+import csv
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from clustersmith.errors import ValidationError
-from clustersmith.pricing import (
-    FundingLevel,
-    PurchaseOption,
-    RentalQuote,
-    break_even,
-    coverage_months,
-    coverage_table_cells,
-    load_tables,
-)
+from clustersmith.pricing import break_even, coverage_months, coverage_table_cells
 
-NSFC = FundingLevel("NSFC", 68200.0)
+NSFC = 68200.0
 
 
 def test_coverage_gcp_cpu():
-    assert coverage_months(NSFC, RentalQuote("GCP", 3751.82)) == 18.18
+    assert coverage_months(NSFC, 3751.82) == 18.18
 
 
 def test_coverage_azure_cpu():
-    assert coverage_months(NSFC, RentalQuote("Azure", 3055.20)) == 22.32
+    assert coverage_months(NSFC, 3055.20) == 22.32
 
 
 def test_coverage_vocational_aws_gpu():
-    voc = FundingLevel("Vocational", 3800.0)
-    assert coverage_months(voc, RentalQuote("AWS", 15054.79)) == 0.25
+    assert coverage_months(3800.0, 15054.79) == 0.25
 
 
 def test_coverage_rounds_half_up():
-    assert coverage_months(FundingLevel("x", 100.0),
-                           RentalQuote("q", 32.0)) == 3.13  # 3.125 up
+    assert coverage_months(100.0, 32.0) == 3.13  # 3.125 up
 
 
 @given(st.floats(1.0, 1e7), st.floats(1.0, 1e6), st.integers(2, 100))
 def test_coverage_homogeneous(amount, monthly, k):
-    base = coverage_months(FundingLevel("f", amount), RentalQuote("q", monthly))
-    scaled = coverage_months(FundingLevel("f", amount * k),
-                             RentalQuote("q", monthly * k))
+    base = coverage_months(amount, monthly)
+    scaled = coverage_months(amount * k, monthly * k)
     assert abs(scaled - base) <= 0.01  # rounding of equal true ratios
 
 
@@ -55,29 +47,35 @@ def test_all_bundled_cells_within_tolerance():
 
 
 def test_funding_table_contents():
-    fundings, quotes = load_tables()
-    assert [f.amount for f in fundings] == [68200.0, 61400.0, 18400.0, 3800.0]
+    text = resources.files("clustersmith.data").joinpath(
+        "reference_tables.csv").read_text()
+    rows = list(csv.DictReader(text.splitlines()))
+    fundings = [r for r in rows if r["table"] == "funding"]
+    quotes = [r for r in rows if r["table"] != "funding"]
+    assert [float(r["price_usd"]) for r in fundings] == [
+        68200.0, 61400.0, 18400.0, 3800.0]
     assert len(quotes) == 9
+    # each quote row against each funding row, in file order
+    assert [(c.table, c.provider, c.funding_label)
+            for c in coverage_table_cells()] == [
+        (q["table"], q["row"], f["row"]) for q in quotes for f in fundings]
 
 
 def test_break_even_examples():
-    assert break_even(PurchaseOption(capex=100000.0),
-                      RentalQuote("GCP", 3751.82)) == 27
-    assert break_even(PurchaseOption(capex=0.0), RentalQuote("q", 100.0)) == 1
+    assert break_even(100000.0, 0.0, 3751.82) == 27
+    assert break_even(0.0, 0.0, 100.0) == 1
 
 
 def test_break_even_never():
     with pytest.raises(ValidationError,
                        match="rent never overtakes ownership cost"):
-        break_even(PurchaseOption(capex=1000.0, monthly_opex=100.0),
-                   RentalQuote("q", 100.0))
+        break_even(1000.0, 100.0, 100.0)
 
 
 @given(st.floats(1, 1e6), st.floats(100, 1e5))
 def test_break_even_monotone(capex, rent):
-    p = PurchaseOption(capex=capex)
-    m = break_even(p, RentalQuote("q", rent))
+    m = break_even(capex, 0.0, rent)
     # nonincreasing in rent, nondecreasing in capex
-    assert break_even(p, RentalQuote("q", rent * 2)) <= m
-    assert break_even(PurchaseOption(capex=capex * 2),
-                      RentalQuote("q", rent)) >= m
+    assert break_even(capex, 0.0, rent * 2) <= m
+    assert break_even(capex * 2, 0.0, rent) >= m
+
