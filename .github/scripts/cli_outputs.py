@@ -5,6 +5,8 @@ so that two trees' outputs diff to exactly the outputs that changed:
   cluster (all four strategies) and on the dual-socket preset with
   `tests/test_startup.py`'s LEVELS;
 - `topo export` in both formats on both presets;
+- `stagger` stdout and `--events` CSV on `tests/test_startup.py`'s FLOWS,
+  without and with `--cap 10`;
 - a small `gnn train` model, and `gnn predict --compare` with it;
 - `price coverage --tables`, one `price coverage` and one `price breakeven`.
 
@@ -30,7 +32,7 @@ def main() -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
     os.environ["CLUSTERSMITH_NO_COLOR"] = "1"
     from clustersmith.cli import main as cli
-    from test_startup import LEVELS
+    from test_startup import FLOWS, LEVELS
 
     presets = tree / "src" / "clustersmith" / "presets"
     dual = presets / "dual-socket-pcie-switch.topo"
@@ -39,6 +41,7 @@ def main() -> None:
         tmp = Path(tmp)
         (tmp / "dual.levels").write_text(LEVELS)
         (tmp / "ring.level").write_text(RING)
+        (tmp / "flows.txt").write_text(FLOWS)
 
         def run(name, *argv, files=()):
             """Run `argv`; print the hash of its stdout, then of each of
@@ -65,6 +68,10 @@ def main() -> None:
                 run(f"topo export {preset.stem} {fmt}", "topo", "export",
                     preset, "--format", fmt, "--out", out,
                     files=(("file", out),))
+        for name, cap in (("stagger", ()), ("stagger cap 10", ("--cap", 10))):
+            events = tmp / "events.csv"
+            run(name, "stagger", "--flows", tmp / "flows.txt", "--upstream", 16,
+                *cap, "--events", events, files=(("events", events),))
         model = tmp / "model.txt"
         run("gnn train small", "gnn", "train", "--count", 20, "--epochs", 50,
             "--out", model, files=(("model", model),))

@@ -230,6 +230,8 @@ def cmd_gnn(args) -> int:
     if args.action == "train":
         cfg = gnn.TrainConfig(seed=args.seed, epochs=args.epochs,
                               learning_rate=args.learning_rate)
+        if 0 < args.count <= gnn.train_count(args.count):  # before any sample
+            raise ValidationError("validation needs at least one held-out sample")
         samples = gnn.generate_dataset(seed=args.seed, count=args.count)
         model = gnn.init_model(seed=args.seed)
         model, history, val_idx = gnn.train(model, samples, cfg)

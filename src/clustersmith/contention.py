@@ -17,20 +17,18 @@ finish.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import io
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .commcost import GB
 from .errors import ValidationError, check_number
 
 
-# Flows and events are light records, namedtuples (a flow checked in
-# `__new__`): a run builds one per flow or event.  `_make` and `_replace`
-# skip the check, so nothing calls them.
+# Records are light namedtuples, a flow and a switch checked in `__new__`:
+# a run builds one per flow or event.  `_make` and `_replace` skip the
+# check, so nothing calls them.
 class Flow(namedtuple("Flow", "id bytes release offset")):
     """`release` and `offset`, the added stagger, in seconds."""
 
@@ -51,14 +49,15 @@ class Flow(namedtuple("Flow", "id bytes release offset")):
         return self.release + self.offset
 
 
-@dataclass(frozen=True)
-class SwitchModel:
-    upstream_bandwidth: float  # GB/s
-    per_flow_cap: float        # GB/s
+class SwitchModel(namedtuple("SwitchModel", "upstream_bandwidth per_flow_cap")):
+    """Both rates in GB/s."""
 
-    def __post_init__(self):
-        check_number("upstream_bandwidth", self.upstream_bandwidth, positive=True)
-        check_number("per_flow_cap", self.per_flow_cap, positive=True)
+    __slots__ = ()
+
+    def __new__(cls, upstream_bandwidth, per_flow_cap):
+        check_number("upstream_bandwidth", upstream_bandwidth, positive=True)
+        check_number("per_flow_cap", per_flow_cap, positive=True)
+        return tuple.__new__(cls, (upstream_bandwidth, per_flow_cap))
 
 
 # event is "start" or "finish"; active_flows and per_flow_rate_gbps are
@@ -67,12 +66,8 @@ EventRecord = namedtuple("EventRecord", "time_s event flow_id active_flows "
                          "per_flow_rate_gbps")
 
 
-@dataclass(frozen=True)
-class SimResult:
-    makespan: float
-    mean_completion: float
-    peak_concurrency: int
-    events: tuple[EventRecord, ...]
+SimResult = namedtuple("SimResult", "makespan mean_completion "
+                       "peak_concurrency events")
 
 
 def _rate(sw: SwitchModel, active: int) -> float:
@@ -187,6 +182,8 @@ def with_offsets(flows, offsets: dict):
 
 
 def events_to_csv(events) -> str:
+    import csv  # not imported at start-up
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time_s", "event", "flow_id", "active_flows",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,14 +55,15 @@ def graph_inputs(g: TopologyGraph, level: Level):
     return a_hat * np.outer(d_inv_sqrt, d_inv_sqrt), h
 
 
-@dataclass
 class GnnModel:
-    weights: list          # per-layer weight matrices
-    biases: list           # per-layer bias vectors
-    head_w: np.ndarray     # hidden -> scalar
-    head_b: float
-    label_mu: float = 0.0
-    label_sigma: float = 1.0
+    """Per-layer weight matrices and bias vectors, then the hidden ->
+    scalar head; mutable, since `train` updates it in place."""
+
+    def __init__(self, weights, biases, head_w, head_b, label_mu=0.0,
+                 label_sigma=1.0):
+        self.weights, self.biases = weights, biases
+        self.head_w, self.head_b = head_w, head_b
+        self.label_mu, self.label_sigma = label_mu, label_sigma
 
     @property
     def dims(self):
@@ -250,13 +251,7 @@ def _forward(model: GnnModel, batch: GraphBatch):
     return sums / batch.sizes + model.head_b, layers
 
 
-@dataclass
-class Gradients:
-    weights: list
-    biases: list
-    head_w: np.ndarray
-    head_b: float
-    loss: float
+Gradients = namedtuple("Gradients", "weights biases head_w head_b loss")
 
 
 def gradients(model: GnnModel, a_hat: np.ndarray, h: np.ndarray,
@@ -307,11 +302,7 @@ def predict_seconds(model: GnnModel, g: TopologyGraph,
 # Dataset generation
 
 
-@dataclass(frozen=True)
-class Sample:
-    graph: TopologyGraph
-    level: Level
-    label_seconds: float
+Sample = namedtuple("Sample", "graph level label_seconds")
 
 
 _EXTRA_KINDS = (NodeKind.CPU_SOCKET, NodeKind.HOST_MEMORY,
@@ -370,18 +361,25 @@ def generate_dataset(seed: int, count: int) -> list:
 # Training
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(namedtuple("TrainConfig", "learning_rate epochs seed")):
+    """Checked in `__new__`; `_make` and `_replace` skip the check, so
+    nothing calls them."""
+
+    __slots__ = ()
+
     # 1e-2 underfits badly within the default epoch budget; 5e-2 converges
     # stably across seeds
-    learning_rate: float = 5e-2
-    epochs: int = 500
-    seed: int = 0
+    def __new__(cls, learning_rate=5e-2, epochs=500, seed=0):
+        check_number("learning_rate", learning_rate)
+        check_number("epochs", epochs)
+        _check_seed(seed)
+        return tuple.__new__(cls, (learning_rate, epochs, seed))
 
-    def __post_init__(self):
-        check_number("learning_rate", self.learning_rate)
-        check_number("epochs", self.epochs)
-        _check_seed(self.seed)
+
+def train_count(count: int) -> int:
+    """How many of `count` samples `train` trains on: a share SPLIT of
+    them, at least one; the rest are held out to validate."""
+    return max(1, int(round(SPLIT * count)))
 
 
 def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
@@ -396,7 +394,7 @@ def train(model: GnnModel, samples, cfg: TrainConfig = TrainConfig()):
         raise ValidationError("training needs at least one sample")
     order = list(range(len(samples)))
     random.Random(cfg.seed).shuffle(order)
-    n_train = max(1, int(round(SPLIT * len(order))))
+    n_train = train_count(len(order))
     train_idx = order[:n_train]
     val_idx = order[n_train:]
 
@@ -517,6 +515,9 @@ def load_model(text: str) -> GnnModel:
     if len(dims) < 2 or any(d != int(d) for d in dims):
         raise dims_line.error("dims needs at least two whole sizes")
     dims = [int(d) for d in dims]
+    if dims[0] != FEATURE_DIM:
+        raise dims_line.error(f"dims: input size {dims[0]} is not the "
+                              f"feature dimension {FEATURE_DIM}", 1)
     label_mu, = values("label_mu", 1)
     label_sigma, = values("label_sigma", 1, positive=True)
     weights, biases = [], []

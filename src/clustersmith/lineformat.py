@@ -10,7 +10,7 @@ only when its error is raised, so well-formed input never pays for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError
 
@@ -45,18 +45,19 @@ def line_after(text: str) -> int:
 def records(text: str):
     """A `Line` for each line of `text` that holds a token, in file order;
     lines end as `_lines` ends them."""
+    new = tuple.__new__  # `Line(...)` less its `__new__` call: Line checks nothing
     for no, raw in enumerate(_lines(text), start=1):
         body = raw.partition("#")[0]
         tokens = body.split()
         if tokens:
-            yield Line(no, body, tokens)
+            yield new(Line, (no, body, tokens))
 
 
-@dataclass(slots=True)
-class Line:
-    no: int            # 1-based line number
-    text: str          # the line without its comment
-    tokens: list[str]
+class Line(namedtuple("Line", "no text tokens")):
+    """A line's 1-based number, its text without its comment, and the
+    tokens of that text."""
+
+    __slots__ = ()
 
     def error(self, message: str, at: int | str = 0) -> ParseError:
         """A ParseError at token `at`: an index, or a `key=value` token's key."""

@@ -15,13 +15,10 @@ sum(seconds * count), the same on every Python version and run layout.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
-import json
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 
 from .commcost import GB, US, path_time, resolve_path
 from .errors import ValidationError, check_number
@@ -221,16 +218,17 @@ def total(runs, name: str) -> float:
                               "of seconds") from None
 
 
-@dataclass(frozen=True)
-class TimeMatrix:
-    levels: tuple[Level, ...]
-    runs: tuple[tuple[tuple[float, int], ...], ...]  # per level, from comm_time
-    row_totals: tuple[float, ...]  # per level, `total` of its runs
-    phase_count: int = field(init=False)
+class TimeMatrix(namedtuple("TimeMatrix", "levels runs row_totals")):
+    """Per level, its `runs` from `comm_time` and its row total, `total`
+    of those runs."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "phase_count", max(
-            (sum(count for _, count in runs) for runs in self.runs), default=0))
+    __slots__ = ()
+
+    @property
+    def phase_count(self) -> int:
+        """The most phases any level runs: the matrix's width."""
+        return max((sum(count for _, count in runs) for runs in self.runs),
+                   default=0)
 
     def winner(self) -> tuple[Level, float]:
         """Cheapest level by total communication time; ties prefer smaller
@@ -239,40 +237,39 @@ class TimeMatrix:
                 key=lambda i: (self.row_totals[i], self.levels[i].n, i))
         return self.levels[i], self.row_totals[i]
 
-    def _cells(self, runs, encode) -> list[tuple[str, int]]:
-        """One level's row as `(text, count)` runs of `encode`d cells,
-        padded with 0.0 to `phase_count`."""
-        pad = self.phase_count - sum(count for _, count in runs)
-        return [(encode(t), count) for t, count in runs] + [(encode(0.0), pad)]
-
     def csv_chunks(self):
         """The matrix as CSV text, in chunks: a `level,t1,...,total` header,
         then each level's name, phase times and total."""
+        import csv  # not imported at start-up
+
+        width = self.phase_count
         yield "level"
-        for lo in range(0, self.phase_count, 1024):
-            yield "".join(f",t{k + 1}" for k in
-                          range(lo, min(lo + 1024, self.phase_count)))
+        for lo in range(0, width, 1024):
+            yield "".join(f",t{k + 1}" for k in range(lo, min(lo + 1024, width)))
         yield ",total\n"
         for level, runs, total in zip(self.levels, self.runs, self.row_totals):
             name = io.StringIO()
             csv.writer(name, lineterminator="\n").writerow([level.name])
             yield name.getvalue()[:-1]  # quoted as in a whole row
-            yield from _repeated(self._cells(runs, repr), ",")
+            yield from _repeated(_cells(runs, repr, width), ",")
             yield f",{total!r}\n"
 
     def json_chunks(self):
         """The matrix as `json.dumps(obj, indent=2) + "\\n"` text, in chunks,
         where obj holds `levels`, `phase_count`, `entries` and `row_totals`."""
+        import json  # not imported at start-up
+
         def nested(value):  # `value` at depth 1 of the indented object
             return json.dumps(value, indent=2).replace("\n", "\n  ")
 
         levels = [{"name": lv.name, "strategy": lv.strategy, "n": lv.n,
                    "payload_bytes": lv.payload_bytes} for lv in self.levels]
+        width = self.phase_count
         yield (f'{{\n  "levels": {nested(levels)},\n  "phase_count": '
-               f'{self.phase_count},\n  "entries": [')
+               f'{width},\n  "entries": [')
         for i, runs in enumerate(self.runs):
             yield ",\n    [" if i else "\n    ["
-            cells = _repeated(self._cells(runs, json.dumps), ",\n      ")
+            cells = _repeated(_cells(runs, json.dumps, width), ",\n      ")
             first = next(cells, None)
             if first is None:
                 yield "]"
@@ -282,6 +279,13 @@ class TimeMatrix:
             yield "\n    ]"
         yield "\n  ]" if self.runs else "]"
         yield f',\n  "row_totals": {nested(list(self.row_totals))}\n}}\n'
+
+
+def _cells(runs, encode, width: int) -> list[tuple[str, int]]:
+    """One level's row as `(text, count)` runs of `encode`d cells,
+    padded with 0.0 to `width` cells."""
+    pad = width - sum(count for _, count in runs)
+    return [(encode(t), count) for t, count in runs] + [(encode(0.0), pad)]
 
 
 def _repeated(cells, prefix: str):

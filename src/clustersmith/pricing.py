@@ -13,16 +13,17 @@ values, so consumers should compare at +/-0.01.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 from .errors import ValidationError, check_number
 
 
 def coverage_months(funding: float, monthly: float) -> float:
     """Months of rental the funding covers, rounded half-up to 2 decimals."""
+    # not imported at start-up
+    from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+
     check_number("funding amount", funding)
     check_number("monthly rent", monthly, positive=True)
     ratio = Decimal(repr(funding)) / Decimal(repr(monthly))
@@ -64,6 +65,8 @@ class TableCell(namedtuple("TableCell",
     @property
     def delta(self) -> float:
         """computed - printed, exact: both are 2-decimal values."""
+        from decimal import Decimal  # not imported at start-up
+
         return float(Decimal(repr(self.computed)) - Decimal(repr(self.printed)))
 
 
@@ -73,6 +76,7 @@ _FUNDING_COLUMNS = ("nsfc", "univ211", "undergrad", "vocational")
 def coverage_table_cells() -> list[TableCell]:
     """Recompute every bundled ratio cell alongside its printed value: each
     quote row against each funding row, in file order."""
+    import csv  # not imported at start-up
     from importlib import resources  # only the bundled tables need it
 
     text = resources.files("clustersmith.data").joinpath("reference_tables.csv").read_text()

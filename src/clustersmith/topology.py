@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -55,8 +54,9 @@ VALID_LANES = (1, 2, 4, 8, 16)
 _MAX = sys.float_info.max  # the largest finite float
 
 
-# Records built by the hundred are light: namedtuples that check their
-# fields in `__new__`.  `_make` and `_replace` skip the check; none is called.
+# Records are namedtuples that check their fields in `__new__`, light
+# enough to build by the hundred.  `_make` and `_replace` skip the check;
+# none is called.
 class Node(namedtuple("Node", "id kind socket_index")):
     __slots__ = ()
 
@@ -98,30 +98,29 @@ class Link(namedtuple("Link", "endpoint_a endpoint_b kind bandwidth latency "
         return tuple.__new__(cls, (a, b, kind, bandwidth, lat, lanes, over, duplex))
 
 
-@dataclass(frozen=True)
-class TopologyGraph:
+class TopologyGraph(namedtuple("TopologyGraph", "nodes links gdr")):
     """Checks, when built, the rules that span declarations (no repeated node
-    id, no undeclared link endpoint), naming the (declaration, field) in `at`."""
+    id, no undeclared link endpoint), naming the (declaration, field) in `at`.
 
-    nodes: tuple[Node, ...]
-    links: tuple[Link, ...]
-    gdr: bool = False
-    # index and routing (below) are derived; excluded from equality so that
-    # a reloaded graph compares equal on declarations alone.
-    index: dict = field(init=False, compare=False, repr=False)
+    `index` (node id -> position) and `routing` are derived, kept in the
+    instance dict (there are no `__slots__`), and not part of equality, so
+    a reloaded graph compares equal on declarations alone.
+    """
 
-    def __post_init__(self):
+    def __new__(cls, nodes, links, gdr=False):
         index = {}
-        for n in self.nodes:
+        for n in nodes:
             if n.id in index:
                 raise ValidationError(f"duplicate node id {n.id!r}", at=(n, "id"))
             index[n.id] = len(index)
-        for l in self.links:
+        for l in links:
             for end in ("endpoint_a", "endpoint_b"):
                 if getattr(l, end) not in index:
                     raise ValidationError(f"link endpoint {getattr(l, end)!r} is "
                                           "not a declared node", at=(l, end))
-        object.__setattr__(self, "index", index)
+        self = tuple.__new__(cls, (nodes, links, gdr))
+        self.index = index
+        return self
 
     def node(self, node_id: str) -> Node:
         if node_id not in self.index:

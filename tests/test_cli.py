@@ -696,6 +696,19 @@ def test_gnn_train_negative_seed_exits_2_before_any_work(capsys, tmp_path,
     gnn.TrainConfig(seed=2**1100)  # a seed of any size >= 0 is fine
 
 
+def test_gnn_train_too_few_samples_exits_2_before_any_work(capsys, tmp_path,
+                                                          monkeypatch):
+    def no_dataset(**kwargs):
+        raise AssertionError("the dataset was generated")
+    monkeypatch.setattr(gnn, "generate_dataset", no_dataset)
+    out_path = tmp_path / "model.txt"
+    code, out, err = run(capsys, "gnn", "train", "--count", "2", "--epochs",
+                         "1000000000", "--out", str(out_path))
+    assert (code, out, err) == (
+        2, "", "error: validation needs at least one held-out sample\n")
+    assert not out_path.exists()
+
+
 def test_gnn_train_zero_epochs_writes_the_initial_model(capsys, tmp_path):
     out_path, loss = tmp_path / "model.txt", tmp_path / "loss.csv"
     code, out, err = run(capsys, "gnn", "train", "--count", "20", "--epochs", "0",
@@ -720,6 +733,10 @@ def test_gnn_train_zero_epochs_writes_the_initial_model(capsys, tmp_path):
     (lambda ls: ["# v2", "clustersmith-gnn v2"] + ls[1:],
      "line 2, col 1: unrecognized model format header"),
     (lambda ls: [], "line 1, col 1: unrecognized model format header"),
+    # well formed, W0 13 x 16, but not for the 14 features a graph gives
+    (lambda ls: [ls[0], "dims 13 16 16", *ls[2:4], ls[4].rsplit(" ", 16)[0],
+                 *ls[5:]],
+     "error: line 2, col 6: dims: input size 13 is not the feature dimension 14\n"),
 ])
 def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
                                             edit, message):

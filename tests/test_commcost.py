@@ -364,10 +364,11 @@ def test_bottleneck_matches_state_graph_oracle_at_scale():
 
 def test_routed_graph_is_freed_by_reference_counting():
     # the routing index lives on the graph; a reference back would make a
-    # cycle that keeps every routed graph alive until a full collection
+    # cycle that keeps every routed graph alive until a full collection.
+    # A graph is a tuple and takes no weak reference; its index does.
     g = load_topology(GDR_FIXTURE)
     resolve_path(g, "gpu", "nic")
-    ref = weakref.ref(g)
+    ref = weakref.ref(g.routing)
     gc.disable()
     try:
         del g

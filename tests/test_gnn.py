@@ -613,6 +613,9 @@ def _model_text():
      "line 2, col 1: dims needs at least two whole sizes"),
     (lambda ls: ["clustersmith-gnn v1", "dims 14 1" + "0" * 400 + " 16"]
      + ls[2:], "line 2, col 9: dims: '1000"),
+    (lambda ls: [ls[0], "dims 13 16 16", *ls[2:4], ls[4].rsplit(" ", 16)[0],
+                 *ls[5:]],
+     "line 2, col 6: dims: input size 13 is not the feature dimension 14"),
 ])
 def test_load_model_rejects_malformed_fields(edit, message):
     lines = _model_text().splitlines()

@@ -1,8 +1,10 @@
 """Start-up cost: only `gnn` imports numpy, no command imports
 `numpy.random`, only reading a bundled file imports `importlib.resources`,
-nothing imports `typing` (records are `collections.namedtuple`s), and
-`main` builds its parser once per process without carrying state from one
-call to the next."""
+nothing imports `typing` or `dataclasses` (records are
+`collections.namedtuple`s, the mutable `GnnModel` a plain class),
+`import clustersmith.cli` loads none of `inspect`, `json`, `csv` or
+`decimal`, and `main` builds its parser once per process without carrying
+state from one call to the next."""
 
 import contextlib
 import io
@@ -93,6 +95,15 @@ def test_cli_import_leaves_numpy_out():
     assert out == "[]\n"
 
 
+def test_cli_import_leaves_dataclasses_and_formats_out():
+    # a difference of sys.modules, so that what `site` loads does not count
+    out = python("-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                 "before = set(sys.modules); import clustersmith.cli; "
+                 "print(sorted(set(sys.modules) - before & {'dataclasses', "
+                 "'inspect', 'json', 'csv', 'decimal'}))", SRC)
+    assert out == "[]\n"
+
+
 def test_commands_run_without_numpy(capsys, tmp_path, inputs):
     blocked_dir = tmp_path / "blocked"
     blocked_dir.mkdir()
@@ -124,6 +135,30 @@ def test_gnn_runs_without_numpy_random(capsys, tmp_path, inputs):
     assert blocked == expected
     assert ((tmp_path / "blocked-model.txt").read_bytes()
             == (tmp_path / "model.txt").read_bytes())
+
+
+def test_commands_run_without_dataclasses(capsys, tmp_path, inputs):
+    blocked_dir = tmp_path / "blocked"
+    blocked_dir.mkdir()
+    for name in ("dual.topo", "levels.txt", "flows.txt"):
+        (blocked_dir / name).write_bytes((inputs / name).read_bytes())
+
+    def all_commands(d: Path) -> list:
+        (d / "level.txt").write_text(LEVELS.strip().splitlines()[0] + "\n")
+        model, level = str(d / "model.txt"), str(d / "level.txt")
+        return commands(d) + [
+            ["gnn", "train", "--count", "20", "--epochs", "50", "--out", model],
+            ["gnn", "predict", "--model", model, "--topo", str(d / "dual.topo"),
+             "--level", level, "--compare"]]
+    blocked = json.loads(python("-c", BLOCKED, "dataclasses", SRC,
+                                json.dumps(all_commands(blocked_dir))))
+    expected = [list(run_in_process(capsys, argv))
+                for argv in all_commands(inputs)]
+    assert [code for code, _ in expected] == [0] * len(expected)
+    assert blocked == expected
+    for name in ("export.topo", "matrix.csv", "matrix.json", "events.csv",
+                 "model.txt"):
+        assert (blocked_dir / name).read_bytes() == (inputs / name).read_bytes()
 
 
 def test_options_do_not_carry_over_between_calls(capsys, inputs):
