@@ -1,6 +1,7 @@
 """Print the net change in code-only lines of each directory between two
-commits: lines that hold a Python token, not counting blank lines,
-comments or docstrings.
+commits, then `path: before -> after (+n)` for each `.py` file in it whose
+count changed (0 for a file that one commit lacks).  Code-only lines hold
+a Python token, not counting blank lines, comments or docstrings.
 
     python .github/scripts/code_lines.py BASE HEAD src tests
 """
@@ -38,18 +39,24 @@ def git(*args) -> str:
                           text=True).stdout
 
 
-def count(rev: str, directory: str) -> int:
+def counts(rev: str, directory: str) -> dict:
+    """Code-only lines of each `.py` file under `directory` at `rev`."""
     files = git("ls-tree", "-r", "--name-only", rev, "--", directory).split()
-    return sum(code_lines(git("show", f"{rev}:{path}"))
-               for path in files if path.endswith(".py"))
+    return {path: code_lines(git("show", f"{rev}:{path}"))
+            for path in files if path.endswith(".py")}
 
 
 def main() -> None:
     base, head, *dirs = sys.argv[1:]
     for directory in dirs:
-        before, after = count(base, directory), count(head, directory)
-        print(f"{directory}/: {before} -> {after} code-only lines, "
-              f"net {after - before:+d}")
+        before, after = counts(base, directory), counts(head, directory)
+        total_before, total_after = sum(before.values()), sum(after.values())
+        print(f"{directory}/: {total_before} -> {total_after} code-only lines, "
+              f"net {total_after - total_before:+d}")
+        for path in sorted(before.keys() | after.keys()):
+            old, new = before.get(path, 0), after.get(path, 0)
+            if old != new:
+                print(f"  {path}: {old} -> {new} ({new - old:+d})")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import stat
 import sys
 
 from . import contention, lineformat, parallelism, pricing, topology
-from .errors import ClusterError, ParseError, ValidationError
+from .errors import ClusterError, ParseError, ValidationError, check_number
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -253,6 +253,8 @@ def cmd_gnn(args) -> int:
         second = next(lines, None) and next(lines, None)
         raise second.error(message) if second else ParseError(message, 1, 1)
     predicted = gnn.predict_seconds(model, g, matrix.levels[0])
+    check_number(f"model {args.model!r}: predicted seconds", predicted,
+                 positive=True)
     print(f"predicted {predicted!r} s")
     if args.compare:
         analytic = matrix.row_totals[0]

@@ -14,9 +14,13 @@ resulting route may legitimately revisit a node (out and back through a
 memory controller), so routes are walks, not necessarily simple paths.
 
 Each graph keeps a `RoutingIndex` (``TopologyGraph.routing``), built on
-first use: one maximum spanning forest, which gives every pair's
-bottleneck, plus each node's widest reach to host memory for the
-constrained pairs, and each node's neighbours in node-id order.  Each
+first use from every link, taken in one tie-break order: widest, then
+least latency + b, then first declared.  It holds a maximum spanning
+forest as a merge tree, which gives every pair's bottleneck; a pair that
+must stage in host memory is also bounded by the source's lowest merge
+above a host memory, found by climbing.  It also holds each node's
+neighbours in node-id order, a pair's parallel links in tie-break order,
+so the first link of a pair wide enough for a route is its best.  Each
 route is found on request by a hop search from both of its ends at once,
 over links at least its bottleneck wide: the start's search tree gives it
 up to where the two meet, then each hop takes the smallest-id neighbour
@@ -103,27 +107,22 @@ class RoutingIndex:
         self.gdr = g.gdr
         self.index = g.index
         self.kinds = [n.kind for n in g.nodes]
-        # Best link per node pair: max bandwidth, then min overhead, then
-        # declaration order.
-        best = {}
-        for l in g.links:
-            i, j = g.index[l.endpoint_a], g.index[l.endpoint_b]
-            pair = (i, j) if i < j else (j, i)
-            cur = best.get(pair)
-            if cur is None or (l.bandwidth, -(l.latency + l.extra_overhead_b)) > (
-                cur.bandwidth, -(cur.latency + cur.extra_overhead_b)
-            ):
-                best[pair] = l
-        self.ids = [n.id for n in g.nodes]
+        self.ids = ids = [n.id for n in g.nodes]
         self.is_mem = [int(kind == NodeKind.HOST_MEMORY) for kind in self.kinds]
-        # node -> [(neighbour, bandwidth, link)] in neighbour-id order;
-        # per node rather than per state to keep the index small, since
-        # GNN training keeps every sample graph, and so its index, alive.
+        # Every link, widest first, then least latency + b; the sort is
+        # stable, so declaration order breaks the last tie.  So of a pair's
+        # links at least a bottleneck wide, the first listed is its best.
+        links = [(g.index[l.endpoint_a], g.index[l.endpoint_b], l) for l in
+                 sorted(g.links, key=lambda l: (-l.bandwidth,
+                                                l.latency + l.extra_overhead_b))]
+        # node -> [(neighbour, bandwidth, link)] in neighbour-id order, then
+        # link order; per node rather than per state to keep the index
+        # small, since GNN training keeps every sample graph, and so its
+        # index, alive.
         self.adj = [[] for _ in g.nodes]
-        for (i, j), link in best.items():
+        for i, j, link in links:
             self.adj[i].append((j, link.bandwidth, link))
             self.adj[j].append((i, link.bandwidth, link))
-        ids = self.ids
         for nbrs in self.adj:
             nbrs.sort(key=lambda e: ids[e[0]])
 
@@ -139,7 +138,7 @@ class RoutingIndex:
                 comp[v] = v = comp[comp[v]]  # path halving
             return v
 
-        for (i, j), link in sorted(best.items(), key=lambda e: -e[1].bandwidth):
+        for i, j, link in links:
             a, b = find(i), find(j)
             if a != b:
                 k = len(up)

@@ -15,10 +15,8 @@ class ClusterError(Exception):
 class ParseError(ClusterError):
     """Malformed input text; carries line/column of the offending token."""
 
-    def __init__(self, message, line=None, column=None):
-        if line is not None:
-            message = f"line {line}, col {column}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line, column):
+        super().__init__(f"line {line}, col {column}: {message}")
         self.line = line
         self.column = column
 

@@ -294,8 +294,10 @@ def batch_gradients(model: GnnModel, batch: GraphBatch,
 
 def predict_seconds(model: GnnModel, g: TopologyGraph,
                     level: Level) -> float:
+    """Seconds, or inf or 0.0 where they leave the float range."""
     z = forward(model, *graph_inputs(g, level))
-    return float(np.exp(z * model.label_sigma + model.label_mu))
+    with np.errstate(over="ignore"):  # the caller checks the result
+        return float(np.exp(z * model.label_sigma + model.label_mu))
 
 
 # ---------------------------------------------------------------------------

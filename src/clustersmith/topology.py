@@ -249,16 +249,3 @@ def export_dot(g: TopologyGraph) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Presets
-
-PRESET_NAMES = ("nvlink4.topo", "dual-socket-pcie-switch.topo")
-
-
-def load_preset(name: str) -> TopologyGraph:
-    from importlib import resources  # only presets read bundled files
-
-    text = resources.files("clustersmith.presets").joinpath(name).read_text()
-    return load_topology(text)

@@ -19,7 +19,6 @@ from clustersmith.topology import (
     NodeKind,
     TopologyGraph,
     build_graph,
-    load_preset,
     load_topology,
 )
 
@@ -44,14 +43,18 @@ def write(tmp_path, **files):
     return [str(tmp_path / name) for name in files]
 
 
+PRESETS = resources.files("clustersmith.presets")
+
+
 @pytest.fixture
 def nvlink4() -> TopologyGraph:
-    return load_preset("nvlink4.topo")
+    return load_topology(PRESETS.joinpath("nvlink4.topo").read_text())
 
 
 @pytest.fixture
 def dual_socket() -> TopologyGraph:
-    return load_preset("dual-socket-pcie-switch.topo")
+    return load_topology(
+        PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text())
 
 
 # The README's hardware rewrites as edits of the dual-socket preset's text:
@@ -76,8 +79,7 @@ link cpu1_sw gpu3 kind=Pcie bw=16.0"""),
 
 def dual_socket_text(*rewrites: str) -> str:
     """The dual-socket preset's text with the named REWRITES applied in order."""
-    text = resources.files("clustersmith.presets").joinpath(
-        "dual-socket-pcie-switch.topo").read_text()
+    text = PRESETS.joinpath("dual-socket-pcie-switch.topo").read_text()
     for name in rewrites:
         line, lines = REWRITES[name]
         if line is None:
@@ -249,11 +251,13 @@ def cluster_graph(rng: random.Random, hosts: int) -> TopologyGraph:
 def one_way_route(g: TopologyGraph, src: str, dst: str):
     """The route from src to dst as a `ResolvedPath`, by a one-way search.
 
-    Takes the bottleneck and the best link of each node pair from the
-    graph's routing index.  Then hop distances to the goal state (dst,
-    mem_seen) over links at least the bottleneck wide, level by level from
-    the goal until the start's level is complete, and a greedy walk from
-    the start to the smallest-id neighbour one hop nearer.  Raises the
+    Takes the bottleneck and each node's links from the graph's routing
+    index, which lists a node pair's links in tie-break order, so the
+    first wide enough is the one taken.  Then hop distances to the goal
+    state (dst, mem_seen) over links at least the bottleneck wide, level
+    by level from the goal until the start's level is complete, and a
+    greedy walk from the start to the smallest-id neighbour one hop
+    nearer.  Raises the
     `ValidationError` that `resolve_path` raises.  Only used as an oracle.
     """
     ix = g.routing

@@ -18,10 +18,9 @@ from clustersmith.contention import (Flow, SwitchModel, optimize_stagger,
 from clustersmith.parallelism import RingAllreduce, comm_time, total
 from clustersmith.pricing import coverage_table_cells
 from clustersmith.topology import (Link, LinkKind, Node, NodeKind,
-                                   PRESET_NAMES, build_graph, export_topo,
-                                   load_preset, load_topology)
+                                   build_graph, export_topo, load_topology)
 
-from conftest import (expanded_rows, finish_times, random_graph,
+from conftest import (PRESETS, expanded_rows, finish_times, random_graph,
                       time_stepped_sim)
 
 GDR_FIXTURE = """
@@ -112,7 +111,7 @@ def test_acceptance_4_stagger_benefit():
 
 
 def test_acceptance_5_pipeline_on_nvlink4():
-    graph = load_preset("nvlink4.topo")
+    graph = load_topology(PRESETS.joinpath("nvlink4.topo").read_text())
     matrix = load_levels(
         "level ring4 strategy=ring_allreduce participants=gpu0,gpu1,gpu2,gpu3"
         " payload=10e9\n"
@@ -225,8 +224,10 @@ def test_acceptance_7_gnn_verification():
 
 
 def test_acceptance_8_topology_round_trip():
-    for name in PRESET_NAMES:
-        graph = load_preset(name)
+    presets = [p for p in PRESETS.iterdir() if p.name.endswith(".topo")]
+    assert len(presets) >= 2
+    for preset in presets:
+        graph = load_topology(preset.read_text())
         assert load_topology(export_topo(graph)) == graph
     rng = random.Random(8)
     for _ in range(200):

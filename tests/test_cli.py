@@ -605,6 +605,9 @@ R2 = "level r2 strategy=ring_allreduce participants=gpu0,gpu1 payload=1e9\n"
     ("plan", "# nothing here\n", "line 1, col 1: no levels in levels file"),
     ("plan", "", "line 1, col 1: no levels in levels file"),
     ("stagger", "\n# no flows\n", "line 1, col 1: no flows in flows file"),
+    ("stagger", "flow f0 release=0.5\n", "line 1, col 1: flow needs bytes="),
+    ("topo", "node a kind=Gpu\nnode b kind=Gpu\nlink a b\n",
+     "line 3, col 1: link needs <idA> <idB> kind= bw="),
     ("predict", "# none\n",
      "line 1, col 1: gnn predict expects exactly one level"),
     ("predict", R2 + "# another\n  " + R2.replace("r2", "r3"),
@@ -618,6 +621,7 @@ def test_file_level_errors_are_placed(capsys, tmp_path, nvlink4_path,
     model.write_text(gnn.save_model(gnn.init_model(seed=0)))
     argv = {"plan": ["plan", "--topo", nvlink4_path, "--levels", str(path)],
             "stagger": ["stagger", "--flows", str(path), "--upstream", "16"],
+            "topo": ["topo", "validate", str(path)],
             "predict": ["gnn", "predict", "--model", str(model),
                         "--topo", nvlink4_path, "--level", str(path)]}
     code, out, err = run(capsys, *argv[command])
@@ -750,6 +754,37 @@ def test_gnn_predict_malformed_model_exit_2(capsys, tmp_path, nvlink4_path,
                          "--topo", nvlink4_path, "--level", str(level))
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.fixture(scope="module")
+def trained_model_lines():
+    """The lines of the model that `gnn train --count 20 --epochs 50` writes."""
+    model, _, _ = gnn.train(gnn.init_model(seed=0),
+                            gnn.generate_dataset(seed=0, count=20),
+                            gnn.TrainConfig(epochs=50))
+    return gnn.save_model(model).splitlines()
+
+
+@pytest.mark.parametrize("field,value,got", [
+    ("label_sigma", "1e300", "inf"), ("label_mu", "1e308", "inf"),
+    ("label_mu", "-1e308", "0.0"), ("W0", "1e200", "0.0"),
+])
+def test_gnn_predict_out_of_range_prediction_exit_2(
+        capsys, tmp_path, nvlink4_path, trained_model_lines, field, value, got):
+    # every value of `field` set to `value`: the model passes load_model,
+    # but exp takes its prediction out of the float range
+    lines = [" ".join([field] + [value] * (len(line.split()) - 1))
+             if line.split()[0] == field else line
+             for line in trained_model_lines]
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(lines) + "\n")
+    gnn.load_model(model.read_text())
+    level = tmp_path / "level.txt"
+    level.write_text(R2)
+    code, out, err = run(capsys, "gnn", "predict", "--compare", "--model",
+                         str(model), "--topo", nvlink4_path, "--level", str(level))
+    assert (code, out, err) == (2, "", f"error: model {str(model)!r}: predicted "
+                                f"seconds must be finite and > 0, got {got}\n")
 
 
 # the keys each strategy reads besides strategy= and participants=

@@ -108,6 +108,78 @@ def test_parallel_links_pick_widest_then_least_overhead():
     assert (p.bottleneck_bandwidth, p.total_latency, p.total_b) == (40.0, 1.0, 1.0)
 
 
+def best_link_per_pair(g: TopologyGraph):
+    """`g` with each node pair's links reduced to one: the widest, then
+    least latency + b, then the first declared; and how often each rule
+    chose between two different links (a Counter).  Only used as an
+    oracle."""
+    best, decided = {}, Counter()
+    for l in g.links:
+        pair = frozenset((l.endpoint_a, l.endpoint_b))
+        cur = best.setdefault(pair, l)
+        key, cur_key = ((x.bandwidth, -(x.latency + x.extra_overhead_b))
+                        for x in (l, cur))
+        if l != cur:
+            decided["width" if key[0] != cur_key[0] else
+                    "latency + b" if key != cur_key else "declaration"] += 1
+        if key > cur_key:
+            best[pair] = l
+            decided["a later link"] += 1
+    links = tuple(l for l in g.links
+                  if best[frozenset((l.endpoint_a, l.endpoint_b))] is l)
+    return TopologyGraph(g.nodes, links, g.gdr), decided
+
+
+def test_parallel_links_route_as_their_pairs_best_link():
+    # Few widths, latencies and b values, so that parallel links tie on
+    # width, on latency + b (0.5 + 0.5 == 1 + 0) and on both; each is
+    # declared at a random place, either way round.
+    rng = random.Random(37)
+    kinds = (NodeKind.GPU, NodeKind.NIC, NodeKind.HOST_MEMORY,
+             NodeKind.PCIE_SWITCH, NodeKind.CPU_SOCKET)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        nodes = tuple(Node(f"n{i}", rng.choice(kinds)) for i in range(n))
+        links = []
+        for _ in range(rng.randint(1, 2 * n)):
+            a, b = rng.sample(range(n), 2)
+            copies = 1 + (rng.random() < 0.5) * rng.randint(1, 3)
+            for _ in range(copies):
+                links.insert(rng.randint(0, len(links)), Link(
+                    f"n{a}", f"n{b}", LinkKind.PCIE, rng.choice((1.0, 2.0, 4.0)),
+                    rng.choice((0.0, 0.5, 1.0)), extra_overhead_b=rng.choice(
+                        (0.0, 0.5, 1.0))))
+                if rng.random() < 0.5:
+                    a, b = b, a
+        pairs = Counter(frozenset((l.endpoint_a, l.endpoint_b)) for l in links)
+        for gdr in (False, True):
+            g = TopologyGraph(nodes, tuple(links), gdr)
+            reduced, decided = best_link_per_pair(g)
+            seen.update(decided if gdr else ())
+            for src in (node.id for node in nodes):
+                for dst in (node.id for node in nodes):
+                    if src == dst:
+                        continue
+                    try:
+                        expect = resolve_path(reduced, src, dst)
+                    except ValidationError as exc:
+                        with pytest.raises(ValidationError) as info:
+                            resolve_path(g, src, dst)
+                        assert str(info.value) == str(exc)
+                        seen["no route"] += 1
+                        continue
+                    assert resolve_path(g, src, dst) == expect
+                    seen["routed"] += 1
+                    seen["over a parallel pair"] += any(
+                        pairs[frozenset((l.endpoint_a, l.endpoint_b))] > 1
+                        for l in expect.links)
+    assert seen["routed"] > 10000 and seen["no route"] > 5000
+    assert seen["over a parallel pair"] > 8000
+    assert seen["width"] > 1000 and seen["latency + b"] > 400
+    assert seen["declaration"] > 100 and seen["a later link"] > 500
+
+
 def test_gdr_off_forces_host_memory():
     g = load_topology(GDR_FIXTURE)
     p = resolve_path(g, "gpu", "nic")
